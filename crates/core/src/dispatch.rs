@@ -585,24 +585,29 @@ impl<'a, W: TileSet> BalancedLaunch<'a, W> {
     }
 
     /// §5.2.1: merge-path, optionally driven by a cached partition table.
-    fn merge_path<E: TileExec>(&self, exec: &E, starts: Option<&[u32]>) -> simt::Result<Dispatch> {
+    /// A cold launch builds the table once on the host and bills every
+    /// thread the in-kernel diagonal search it stands for; a cached table
+    /// bills one table read. Coordinates are identical either way.
+    fn merge_path<E: TileExec>(&self, exec: &E, cached: Option<&[u32]>) -> simt::Result<Dispatch> {
         let sched = MergePathSchedule::new(self.work, self.merge_items);
-        if let Some(s) = starts {
-            assert_eq!(
-                s.len(),
-                sched.num_threads() + 1,
-                "merge-path partition table does not match this matrix"
-            );
-        }
+        let built;
+        let starts = match cached {
+            Some(s) => {
+                assert_eq!(
+                    s.len(),
+                    sched.num_threads() + 1,
+                    "merge-path partition table does not match this matrix"
+                );
+                s
+            }
+            None => {
+                built = sched.partition();
+                &built[..]
+            }
+        };
         let cfg = sched.launch_config(self.block_dim);
         let report = simt::launch_threads_with_model(self.spec, self.model, cfg, |t| {
-            // With a precomputed partition table each thread loads its
-            // span bounds instead of running two diagonal searches.
-            let spans = match starts {
-                Some(s) => sched.spans_prepartitioned(t, s),
-                None => sched.spans(t),
-            };
-            for span in spans {
+            for span in sched.spans_from_table(t, starts, cached.is_some()) {
                 exec.span(t, &span);
             }
         })?;

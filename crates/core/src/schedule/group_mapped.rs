@@ -7,10 +7,12 @@
 //! (2) runs a group-wide exclusive prefix sum over the counts, then
 //! (3) processes the batch's *atoms* in parallel: lane `r` takes atoms
 //! `r, r + group, r + 2·group, …` of the aggregated batch, recovering the
-//! owning tile with a binary search in the prefix-sum array (the paper's
-//! `get_tile(atom_id)`). Intra-batch imbalance is flattened completely;
-//! inter-batch imbalance is left to the hardware's oversubscribed block
-//! scheduler — exactly the division of labour §5.2.2 describes.
+//! owning tile from the prefix-sum array (the paper's `get_tile(atom_id)`;
+//! the host resolves it with a per-batch owner table and a per-lane
+//! cursor, while the model bills the amortized search). Intra-batch
+//! imbalance is flattened completely; inter-batch imbalance is left to
+//! the hardware's oversubscribed block scheduler — exactly the division
+//! of labour §5.2.2 describes.
 //!
 //! With `group_size = warp` this *is* the classic warp-mapped schedule;
 //! with `group_size = block` it is block-mapped; any other power of the
@@ -19,6 +21,7 @@
 
 use crate::work::TileSet;
 use simt::{GpuSpec, GroupCtx, LaneCtx, LaunchConfig};
+use std::cell::Cell;
 
 /// Group-mapped (cooperative-groups) schedule over a tile set.
 #[derive(Debug, Clone, Copy)]
@@ -28,9 +31,11 @@ pub struct GroupMappedSchedule<'w, W> {
 }
 
 impl<'w, W: TileSet> GroupMappedSchedule<'w, W> {
-    /// Create a schedule with an arbitrary group size (≥ 1).
+    /// Create a schedule with an arbitrary group size (≥ 1, and at most
+    /// 65536 lanes: `get_tile`'s owner table indexes a batch with `u16`).
     pub fn new(work: &'w W, group_size: u32) -> Self {
         assert!(group_size >= 1, "group size must be ≥ 1");
+        assert!(group_size <= 1 << 16, "group size must be ≤ 65536");
         Self { work, group_size }
     }
 
@@ -75,14 +80,28 @@ impl<'w, W: TileSet> GroupMappedSchedule<'w, W> {
     /// group owns. This is the whole schedule: setup (counts + scan into
     /// scratchpad) and the balanced atom loop with `get_tile`.
     pub fn process(&self, g: &mut GroupCtx<'_>, mut f: impl FnMut(&LaneCtx<'_>, usize, usize)) {
+        self.for_each_batch(g, |g, batch| {
+            g.phase_for_each(|lane| batch.walk(lane, |lane, _, tile, atom| f(lane, tile, atom)));
+        });
+    }
+
+    /// Setup for every batch this group owns: (1) each lane loads its
+    /// tile's atom count to scratchpad, (2) a group-wide exclusive prefix
+    /// sum turns the counts into batch offsets; then `body` runs the
+    /// batch's phases.
+    fn for_each_batch(
+        &self,
+        g: &mut GroupCtx<'_>,
+        mut body: impl FnMut(&mut GroupCtx<'_>, &Batch<'_, W>),
+    ) {
         let gs = self.group_size as usize;
         debug_assert_eq!(g.size() as usize, gs, "launch group size mismatch");
         let num_tiles = self.work.num_tiles();
         let stride = (g.num_groups_in_grid() as usize) * gs;
         let mut scan = g.alloc_shared::<u64>(gs);
+        let mut owner = OWNER.take();
         let mut base = g.global_group_id() as usize * gs;
         while base < num_tiles {
-            // Phase 1: each lane loads its tile's atom count to scratchpad.
             let counts = g.phase(|lane| {
                 let tile = base + lane.group_rank() as usize;
                 lane.charge_tile();
@@ -94,31 +113,25 @@ impl<'w, W: TileSet> GroupMappedSchedule<'w, W> {
                 }
             });
             scan.copy_from_slice(&counts);
-            // Phase 2: group-wide exclusive prefix sum (collective).
             let total_atoms = g.exclusive_scan(&mut scan) as usize;
-            // Phase 3: lanes stride the batch's atoms; get_tile() is a
-            // binary search in the scratchpad prefix sums.
-            g.phase_for_each(|lane| {
-                let mut a = lane.group_rank() as usize;
-                while a < total_atoms {
-                    let local_tile = scan.partition_point(|&s| s <= a as u64) - 1;
-                    // get_tile(): a binary search in the scratchpad prefix
-                    // sums; consecutive strided atoms move monotonically
-                    // through the batch, so real implementations resume the
-                    // scan from the previous hit — charge the amortized
-                    // two-probe cost rather than a full log2(group) search.
-                    lane.charge(lane.model().shared_access_cost * 2.0);
-                    let tile = base + local_tile;
-                    let within = a - scan[local_tile] as usize;
-                    let atom = self.work.tile_offset(tile) + within;
-                    lane.charge_atom();
-                    lane.charge_range_iter();
-                    f(lane, tile, atom);
-                    a += gs;
-                }
-            });
+            // Host-side owner table: batch atom -> batch-relative tile,
+            // filled once from the scan (the model bills get_tile below).
+            owner.clear();
+            for local in 0..gs {
+                let end = scan.get(local + 1).map_or(total_atoms, |&s| s as usize);
+                owner.resize(end, local as u16);
+            }
+            let batch = Batch {
+                work: self.work,
+                base,
+                stride: gs,
+                scan: &scan,
+                owner: &owner,
+            };
+            body(g, &batch);
             base += stride;
         }
+        OWNER.set(owner);
     }
     // LOC-END(group_mapped)
 
@@ -135,63 +148,31 @@ impl<'w, W: TileSet> GroupMappedSchedule<'w, W> {
         mut per_atom: impl FnMut(&LaneCtx<'_>, usize, usize) -> f32,
         mut per_tile: impl FnMut(&LaneCtx<'_>, usize, f32),
     ) {
-        let gs = self.group_size as usize;
-        debug_assert_eq!(g.size() as usize, gs, "launch group size mismatch");
         let num_tiles = self.work.num_tiles();
-        let stride = (g.num_groups_in_grid() as usize) * gs;
-        let mut scan = g.alloc_shared::<u64>(gs);
-        let mut sums = g.alloc_shared::<f32>(gs);
-        let mut base = g.global_group_id() as usize * gs;
-        while base < num_tiles {
-            let counts = g.phase(|lane| {
-                let tile = base + lane.group_rank() as usize;
-                lane.charge_tile();
-                lane.charge_shared();
-                if tile < num_tiles {
-                    self.work.atoms_in_tile(tile) as u64
-                } else {
-                    0
-                }
-            });
-            scan.copy_from_slice(&counts);
-            let total_atoms = g.exclusive_scan(&mut scan) as usize;
+        let mut sums = g.alloc_shared::<f32>(self.group_size as usize);
+        self.for_each_batch(g, |g, batch| {
             sums.iter_mut().for_each(|s| *s = 0.0);
             // Balanced atom loop accumulating per-tile partials in
             // scratchpad (lanes of a group execute phase-sequentially in
             // the simulator, so the shared accumulation is race-free; on
             // hardware this is the segmented-reduce tree charged below).
             g.phase_for_each(|lane| {
-                let mut a = lane.group_rank() as usize;
-                while a < total_atoms {
-                    let local_tile = scan.partition_point(|&s| s <= a as u64) - 1;
-                    // get_tile(): a binary search in the scratchpad prefix
-                    // sums; consecutive strided atoms move monotonically
-                    // through the batch, so real implementations resume the
-                    // scan from the previous hit — charge the amortized
-                    // two-probe cost rather than a full log2(group) search.
-                    lane.charge(lane.model().shared_access_cost * 2.0);
-                    let tile = base + local_tile;
-                    let within = a - scan[local_tile] as usize;
-                    let atom = self.work.tile_offset(tile) + within;
-                    lane.charge_atom();
-                    lane.charge_range_iter();
-                    sums[local_tile] += per_atom(lane, tile, atom);
-                    a += gs;
-                }
+                batch.walk(lane, |lane, local, tile, atom| {
+                    sums[local] += per_atom(lane, tile, atom);
+                });
             });
             // Segmented reduction across lanes (tree): one collective.
             g.charge_collective_step();
             // One write per tile of the batch.
             g.phase_for_each(|lane| {
                 let r = lane.group_rank() as usize;
-                let tile = base + r;
+                let tile = batch.base + r;
                 if tile < num_tiles {
                     lane.charge_shared();
                     per_tile(lane, tile, sums[r]);
                 }
             });
-            base += stride;
-        }
+        });
     }
 
     /// The wrapped tile set.
@@ -199,6 +180,52 @@ impl<'w, W: TileSet> GroupMappedSchedule<'w, W> {
         self.work
     }
 }
+
+thread_local! {
+    /// The owner-table buffer, reused across groups, batches and launches
+    /// on this host thread (a nested use simply starts a fresh one).
+    static OWNER: Cell<Vec<u16>> = const { Cell::new(Vec::new()) };
+}
+
+/// One batch of a group: its first tile, the scratchpad prefix sums of
+/// its tiles' atom counts, and the owner table (one entry per batch atom).
+struct Batch<'b, W> {
+    work: &'b W,
+    base: usize,
+    stride: usize,
+    scan: &'b [u64],
+    owner: &'b [u16],
+}
+
+// LOC-BEGIN(group_mapped)
+impl<W: TileSet> Batch<'_, W> {
+    /// Lane `r`'s balanced atom loop: atoms `r, r + group, r + 2·group, …`
+    /// of the batch, calling `f(lane, local_tile, tile, atom)`.
+    fn walk(&self, lane: &LaneCtx<'_>, mut f: impl FnMut(&LaneCtx<'_>, usize, usize, usize)) {
+        let total = self.owner.len();
+        let (mut local, mut start, mut end, mut first_atom) = (0, 0, 0, 0);
+        let mut a = lane.group_rank() as usize;
+        while a < total {
+            // get_tile(): strided atoms move monotonically through the
+            // batch, so the lane's tile changes only when `a` crosses the
+            // next prefix-sum boundary. Real implementations resume the
+            // search from the previous hit, so the model charges the
+            // amortized two-probe cost rather than a full log2(group) search.
+            if a >= end {
+                local = usize::from(self.owner[a]);
+                start = self.scan[local] as usize;
+                end = self.scan.get(local + 1).map_or(total, |&s| s as usize);
+                first_atom = self.work.tile_offset(self.base + local);
+            }
+            lane.charge(lane.model().shared_access_cost * 2.0);
+            lane.charge_atom();
+            lane.charge_range_iter();
+            f(lane, local, self.base + local, first_atom + (a - start));
+            a += self.stride;
+        }
+    }
+}
+// LOC-END(group_mapped)
 
 #[cfg(test)]
 mod tests {
@@ -241,6 +268,69 @@ mod tests {
         check_coverage(vec![50, 0, 0, 0, 0, 0, 0, 7], 8, 1, 8);
         check_coverage(vec![0; 64], 8, 2, 16);
         check_coverage(vec![13], 16, 1, 16);
+    }
+
+    /// Every `(lane rank, tile, atom)` visit of one group walking all
+    /// batches, in visit order, with `get_tile` as the reference binary
+    /// search `scan.partition_point(|&s| s <= a) - 1`.
+    fn reference_visits(w: &CountedTiles, gs: usize) -> Vec<(u32, usize, usize)> {
+        let mut out = Vec::new();
+        for base in (0..w.num_tiles()).step_by(gs) {
+            let mut scan: Vec<u64> = (base..base + gs)
+                .map(|t| {
+                    if t < w.num_tiles() {
+                        w.atoms_in_tile(t) as u64
+                    } else {
+                        0
+                    }
+                })
+                .collect();
+            let mut total = 0;
+            for s in &mut scan {
+                (*s, total) = (total, total + *s);
+            }
+            for r in 0..gs {
+                for a in (r..total as usize).step_by(gs) {
+                    let local = scan.partition_point(|&s| s <= a as u64) - 1;
+                    let tile = base + local;
+                    out.push((
+                        r as u32,
+                        tile,
+                        w.tile_offset(tile) + a - scan[local] as usize,
+                    ));
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn owner_table_cursor_matches_reference_binary_search() {
+        for gs in [1usize, 3, 32, 64, 256] {
+            // Runs of empty tiles of varied length, one hub tile, and a
+            // tile count that leaves the last batch ending mid-group.
+            let mut counts: Vec<usize> = (0..2 * gs)
+                .map(|i| if (i / 5) % 3 == 0 { 0 } else { i % 7 })
+                .collect();
+            counts[gs / 2] = 40 * gs + 3;
+            counts.extend((0..gs / 2 + 1).map(|i| i % 3));
+            let w = CountedTiles::from_counts(counts);
+            let sched = GroupMappedSchedule::new(&w, gs as u32);
+            let spec = GpuSpec::test_tiny();
+            let visits = std::sync::Mutex::new(Vec::new());
+            let cfg = LaunchConfig::new(1, gs as u32).with_shared(sched.shared_bytes(gs as u32));
+            simt::launch_groups(&spec, cfg, gs as u32, |g| {
+                sched.process(g, |lane, tile, atom| {
+                    visits.lock().unwrap().push((lane.group_rank(), tile, atom));
+                });
+            })
+            .unwrap();
+            assert_eq!(
+                visits.into_inner().unwrap(),
+                reference_visits(&w, gs),
+                "group {gs}"
+            );
+        }
     }
 
     #[test]

@@ -75,6 +75,14 @@ impl<'w, W: TileSet> MergePathSchedule<'w, W> {
         let total = self.total_work();
         let d0 = (lane.global_thread_id() as usize * self.items_per_thread).min(total);
         let d1 = (d0 + self.items_per_thread).min(total);
+        self.charge_search(lane);
+        let (t0, a0) = self.diagonal_search(d0);
+        let (t1, a1) = self.diagonal_search(d1);
+        MergeSpans::new(self.work, lane, (t0, a0), (t1, a1))
+    }
+
+    /// The setup charge of [`Self::spans`]' two diagonal searches.
+    fn charge_search(&self, lane: &LaneCtx<'_>) {
         // Two-level partition cost: one global diagonal search per block
         // (amortized) + per-thread search of the block's tile in shared
         // memory — see `CostModel::merge_setup`.
@@ -84,20 +92,10 @@ impl<'w, W: TileSet> MergePathSchedule<'w, W> {
         // offsets staged from global memory first: one offset per tile
         // boundary in the window, amortized to this thread's share of
         // the merge path (at least one probe).
+        let total = self.total_work();
         let tile_frac = self.work.num_tiles() as f64 / total.max(1) as f64;
         let staged = (4.0 * self.items_per_thread as f64 * tile_frac).ceil() as u64;
         lane.read_bytes(staged.max(4));
-        let (t0, a0) = self.diagonal_search(d0);
-        let (t1, a1) = self.diagonal_search(d1);
-        MergeSpans {
-            work: self.work,
-            lane,
-            tile: t0,
-            atom: a0,
-            end_tile: t1,
-            end_atom: a1,
-            started_at_tile_start: a0 == self.work.tile_offset(t0),
-        }
     }
 
     /// Charged range over one span's atoms.
@@ -113,11 +111,19 @@ impl<'w, W: TileSet> MergePathSchedule<'w, W> {
     /// `(tile, atom)` with `tile + atom = d`, such that all tile
     /// boundaries before `tile` merge before all atoms from `atom` on.
     /// (Cost is charged once per thread by `spans` via
-    /// `CostModel::merge_setup`.)
-    fn diagonal_search(&self, d: usize) -> (usize, usize) {
+    /// `CostModel::merge_setup`.) Unbounded, as `spans` runs it per
+    /// thread; the reference [`Self::partition`]'s windowed search is
+    /// tested against.
+    pub fn diagonal_search(&self, d: usize) -> (usize, usize) {
+        self.search_window(d, 0, d)
+    }
+
+    /// [`Self::diagonal_search`] over tiles `lo..=hi` only, which must
+    /// contain the answer.
+    fn search_window(&self, d: usize, lo: usize, hi: usize) -> (usize, usize) {
         let (tiles, atoms) = (self.work.num_tiles(), self.work.num_atoms());
-        let mut lo = d.saturating_sub(atoms);
-        let mut hi = d.min(tiles);
+        let mut lo = lo.max(d.saturating_sub(atoms));
+        let mut hi = hi.min(d).min(tiles);
         while lo < hi {
             let mid = (lo + hi) / 2;
             // Consume the boundary of tile `mid` iff its end offset merges
@@ -137,9 +143,13 @@ impl<'w, W: TileSet> MergePathSchedule<'w, W> {
     /// the tile component needs storing — boundary `i` lies on diagonal
     /// `d = i · items_per_thread`, so `atom = d − tile`. Thread `i`'s
     /// share is `starts[i] .. starts[i + 1]` — exactly what
-    /// [`Self::spans`] finds with its two in-kernel diagonal searches. A
-    /// serving runtime caches this table per matrix so repeated launches
-    /// skip the search.
+    /// [`Self::spans`] finds with its two in-kernel diagonal searches.
+    /// Neither coordinate of the path moves back and the diagonal advances
+    /// `items_per_thread` per boundary, so each boundary is searched only
+    /// in the window from the previous boundary's tile to that tile
+    /// `+ items_per_thread`. A cold merge-path launch builds this table
+    /// once; a serving runtime caches it per matrix so repeated launches
+    /// skip even that.
     ///
     /// # Panics
     ///
@@ -150,10 +160,11 @@ impl<'w, W: TileSet> MergePathSchedule<'w, W> {
     /// value.
     pub fn partition(&self) -> Vec<u32> {
         let total = self.total_work();
-        let n = self.num_threads();
-        (0..=n)
+        let mut t = 0;
+        (0..=self.num_threads())
             .map(|i| {
-                let (t, _) = self.diagonal_search((i * self.items_per_thread).min(total));
+                let d = (i * self.items_per_thread).min(total);
+                (t, _) = self.search_window(d, t, t.saturating_add(self.items_per_thread));
                 u32::try_from(t).unwrap_or_else(|_| {
                     panic!(
                         "merge-path partition: boundary tile coordinate {t} exceeds \
@@ -173,26 +184,36 @@ impl<'w, W: TileSet> MergePathSchedule<'w, W> {
         lane: &'l LaneCtx<'m>,
         starts: &[u32],
     ) -> MergeSpans<'w, 'l, 'm, W> {
+        self.spans_from_table(lane, starts, true)
+    }
+
+    /// Thread `lane`'s spans read from a [`Self::partition`] table. With
+    /// `cached` the thread is billed one coalesced 4-byte table entry
+    /// ([`Self::spans_prepartitioned`]); without, it is billed exactly
+    /// what [`Self::spans`] bills for the in-kernel search the host-built
+    /// table stands in for — the cold launch.
+    pub(crate) fn spans_from_table<'l, 'm>(
+        &self,
+        lane: &'l LaneCtx<'m>,
+        starts: &[u32],
+        cached: bool,
+    ) -> MergeSpans<'w, 'l, 'm, W> {
+        if cached {
+            // The block loads its contiguous slice of the table once,
+            // coalesced — amortized one 4-byte entry per thread — instead
+            // of staging an offset window and binary-searching it.
+            lane.read_bytes(4);
+        } else {
+            self.charge_search(lane);
+        }
         let total = self.total_work();
         let last = starts.len() - 1;
         let i0 = (lane.global_thread_id() as usize).min(last);
         let i1 = (i0 + 1).min(last);
-        // The block loads its contiguous slice of the table once,
-        // coalesced — amortized one 4-byte entry per thread — instead of
-        // staging an offset window and binary-searching it.
-        lane.read_bytes(4);
         let (t0, t1) = (starts[i0] as usize, starts[i1] as usize);
         let a0 = (i0 * self.items_per_thread).min(total) - t0;
         let a1 = (i1 * self.items_per_thread).min(total) - t1;
-        MergeSpans {
-            work: self.work,
-            lane,
-            tile: t0,
-            atom: a0,
-            end_tile: t1,
-            end_atom: a1,
-            started_at_tile_start: a0 == self.work.tile_offset(t0),
-        }
+        MergeSpans::new(self.work, lane, (t0, a0), (t1, a1))
     }
 
     /// The wrapped tile set.
@@ -217,6 +238,27 @@ pub struct MergeSpans<'w, 'l, 'm, W> {
     end_tile: usize,
     end_atom: usize,
     started_at_tile_start: bool,
+}
+
+impl<'w, 'l, 'm, W: TileSet> MergeSpans<'w, 'l, 'm, W> {
+    /// The spans between merge-path coordinates `(tile, atom)` and
+    /// `(end_tile, end_atom)`.
+    fn new(
+        work: &'w W,
+        lane: &'l LaneCtx<'m>,
+        (tile, atom): (usize, usize),
+        (end_tile, end_atom): (usize, usize),
+    ) -> Self {
+        Self {
+            work,
+            lane,
+            tile,
+            atom,
+            end_tile,
+            end_atom,
+            started_at_tile_start: atom == work.tile_offset(tile),
+        }
+    }
 }
 
 impl<W: TileSet> Iterator for MergeSpans<'_, '_, '_, W> {

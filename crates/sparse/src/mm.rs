@@ -90,6 +90,14 @@ pub fn read_coo<R: Read>(reader: R) -> Result<Coo<f32>> {
     let nnz: usize = dims[2]
         .parse()
         .map_err(|_| parse_err(lineno, "bad nnz count"))?;
+    // Indices are stored as `u32`: a larger dimension would truncate
+    // indices or size the CSR row offsets past any real allocation.
+    if u32::try_from(rows).is_err() || u32::try_from(cols).is_err() {
+        return Err(parse_err(
+            lineno,
+            format!("dimensions {rows} x {cols} exceed the u32 index range"),
+        ));
+    }
 
     let mut coo = Coo::empty(rows, cols);
     let mut seen = 0usize;
@@ -122,6 +130,7 @@ pub fn read_coo<R: Read>(reader: R) -> Result<Coo<f32>> {
                 .parse()
                 .map_err(|_| parse_err(lineno, "bad value"))?,
         };
+        // In range: 1 <= r <= rows <= u32::MAX (and likewise c).
         let (r0, c0) = (r as u32 - 1, c as u32 - 1);
         coo.push(r0, c0, v).expect("bounds checked above");
         match symmetry {

@@ -66,8 +66,19 @@ fn spmv_every_schedule_is_bitwise_equal_to_the_legacy_path_on_the_corpus() {
         let want64 = a.spmv_ref(&x);
         for kind in ALL_KINDS {
             let run = kernels::spmv(&spec, &a, &x, kind).unwrap();
-            let (ly, _, _) = legacy::spmv_with_model(&spec, &model, &a, &x, kind, 256).unwrap();
+            let (ly, lreport, _) =
+                legacy::spmv_with_model(&spec, &model, &a, &x, kind, 256).unwrap();
             assert_eq!(bits(&run.y), bits(&ly), "spmv {kind} on {}x{}", a.rows(), a.cols());
+            // For merge-path this pins the engine's cold launch (one
+            // host-built partition table) against the legacy per-thread
+            // `spans()` search: same coordinates, same charges.
+            assert_eq!(
+                strip(&run.report),
+                strip(&lreport),
+                "spmv {kind} report on {}x{}",
+                a.rows(),
+                a.cols()
+            );
             let err = kernels::spmv::max_rel_error(&run.y, &want64);
             assert!(err < 2e-3, "spmv {kind}: err {err} vs f64 reference");
         }

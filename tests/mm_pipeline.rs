@@ -62,3 +62,52 @@ fn symmetric_mtx_expands_before_scheduling() {
     let run = kernels::spmv(&GpuSpec::test_tiny(), &a, &x, ScheduleKind::WarpMapped).unwrap();
     assert_eq!(run.y, a.spmv_ref(&x));
 }
+
+/// Hostile size lines: the reader stores indices as `u32`, so a declared
+/// dimension beyond `u32::MAX` must be refused up front rather than
+/// truncated or allocated.
+fn assert_size_line_rejected(src: &str) {
+    match sparse::mm::read_csr(src.as_bytes()) {
+        Err(sparse::Error::Parse { line, msg }) => {
+            assert_eq!(line, 2, "error should point at the size line: {msg}");
+            assert!(msg.contains("u32"), "unexpected message: {msg}");
+        }
+        other => panic!("expected a size-line parse error, got {other:?}"),
+    }
+}
+
+#[test]
+fn column_index_past_u32_is_rejected_not_truncated() {
+    // Column 4294967297 = 2^32 + 1 used to wrap to column 0 and parse Ok.
+    assert_size_line_rejected(
+        "%%MatrixMarket matrix coordinate real general\n\
+         1 4294967297 1\n\
+         1 4294967297 1.0\n",
+    );
+}
+
+#[test]
+fn huge_declared_row_count_is_an_error_not_an_abort() {
+    // 10^11 rows used to reach `coo_to_csr`, whose 800 GB row-offset
+    // allocation aborted the process.
+    assert_size_line_rejected(
+        "%%MatrixMarket matrix coordinate real general\n\
+         100000000000 1 1\n\
+         1 1 1.0\n",
+    );
+}
+
+#[test]
+fn dimensions_at_the_u32_limit_still_parse() {
+    // The largest dimension whose 1-based indices fit: u32::MAX. No entries,
+    // so the (single-row) CSR stays small.
+    let coo = sparse::mm::read_coo(
+        "%%MatrixMarket matrix coordinate real general\n\
+         1 4294967295 1\n\
+         1 4294967295 2.5\n"
+            .as_bytes(),
+    )
+    .unwrap();
+    assert_eq!(coo.cols(), u32::MAX as usize);
+    assert_eq!(coo.col_indices(), &[u32::MAX - 1]);
+}

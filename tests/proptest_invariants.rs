@@ -90,6 +90,35 @@ fn merge_path_partition_property() {
     }
 }
 
+/// Random tile lengths with runs of empty tiles between non-empty ones,
+/// so merge-path boundaries both stall on atoms and skip many tiles.
+fn counts_with_empty_runs(rng: &mut Prng) -> Vec<usize> {
+    let mut counts = Vec::new();
+    for _ in 0..rng.index(0, 40) {
+        counts.extend(std::iter::repeat_n(0, rng.index(0, 12)));
+        counts.push(rng.index(0, 90));
+    }
+    counts
+}
+
+#[test]
+fn merge_path_windowed_partition_equals_per_diagonal_search() {
+    let mut rng = Prng::seed_from_u64(0x7769_6e64);
+    let cases =
+        std::iter::once(Vec::new()).chain((0..CASES).map(|_| counts_with_empty_runs(&mut rng)));
+    for counts in cases {
+        let w = CountedTiles::from_counts(counts.clone());
+        for ipt in [1usize, 2, 7, 64] {
+            let sched = MergePathSchedule::new(&w, ipt);
+            let total = sched.total_work();
+            let want: Vec<u32> = (0..=sched.num_threads())
+                .map(|i| sched.diagonal_search((i * ipt).min(total)).0 as u32)
+                .collect();
+            assert_eq!(sched.partition(), want, "ipt={ipt} counts={counts:?}");
+        }
+    }
+}
+
 #[test]
 fn group_mapped_partition_property() {
     let mut rng = Prng::seed_from_u64(0x6772_6f75);
