@@ -87,6 +87,7 @@ pub trait TileExec: Sync {
 /// Charged iterator over a flat span's atoms — the same consumption the
 /// schedules hand out, so [`TileExec::span`] implementations charge
 /// identically to hand-written kernels.
+#[inline]
 pub fn span_atoms<'l, 'm>(span: &TileSpan, lane: &'l LaneCtx<'m>) -> Charged<'l, 'm, StepRange> {
     Charged::atoms(step_range(span.atoms.start, span.atoms.end, 1), lane)
 }
@@ -606,8 +607,11 @@ impl<'a, W: TileSet> BalancedLaunch<'a, W> {
             }
         };
         let cfg = sched.launch_config(self.block_dim);
+        let search = cached
+            .is_none()
+            .then(|| sched.search_charge(self.model, cfg.block_dim));
         let report = simt::launch_threads_with_model(self.spec, self.model, cfg, |t| {
-            for span in sched.spans_from_table(t, starts, cached.is_some()) {
+            for span in sched.spans_from_table(t, starts, search) {
                 exec.span(t, &span);
             }
         })?;

@@ -48,6 +48,7 @@ impl Iterator for StepRange {
 impl ExactSizeIterator for StepRange {}
 
 /// Iterate `begin..end` in steps of `step` (`step ≥ 1`).
+#[inline]
 pub fn step_range(begin: usize, end: usize, step: usize) -> StepRange {
     assert!(step >= 1, "step must be at least 1");
     StepRange {
@@ -61,6 +62,7 @@ pub fn step_range(begin: usize, end: usize, step: usize) -> StepRange {
 /// `begin`, strides by the total number of launched threads, ends at
 /// `end`. The canonical "process tile `i`, then `i + gridDim*blockDim`"
 /// loop of Listing 2.
+#[inline]
 pub fn grid_stride_range(lane: &LaneCtx<'_>, begin: usize, end: usize) -> StepRange {
     step_range(
         begin + lane.global_thread_id() as usize,
@@ -71,6 +73,7 @@ pub fn grid_stride_range(lane: &LaneCtx<'_>, begin: usize, end: usize) -> StepRa
 
 /// Block-stride variant: starts at this thread's index within its block,
 /// strides by the block size (for block-cooperative loops).
+#[inline]
 pub fn block_stride_range(lane: &LaneCtx<'_>, begin: usize, end: usize) -> StepRange {
     step_range(
         begin + lane.thread_idx() as usize,
@@ -81,6 +84,7 @@ pub fn block_stride_range(lane: &LaneCtx<'_>, begin: usize, end: usize) -> StepR
 
 /// Warp-stride variant: starts at this thread's lane id within its warp,
 /// strides by the warp size.
+#[inline]
 pub fn warp_stride_range(lane: &LaneCtx<'_>, begin: usize, end: usize) -> StepRange {
     step_range(
         begin + lane.lane_id() as usize,
@@ -120,6 +124,7 @@ pub struct Charged<'l, 'm, I> {
 
 impl<'l, 'm, I: Iterator> Charged<'l, 'm, I> {
     /// Attach `inner` to `lane`, charging only range overhead.
+    #[inline]
     pub fn new(inner: I, lane: &'l LaneCtx<'m>) -> Self {
         Self {
             inner,
@@ -129,6 +134,7 @@ impl<'l, 'm, I: Iterator> Charged<'l, 'm, I> {
     }
 
     /// A range over atoms: each yield bills one atom's cost + overhead.
+    #[inline]
     pub fn atoms(inner: I, lane: &'l LaneCtx<'m>) -> Self {
         Self {
             inner,
@@ -139,6 +145,7 @@ impl<'l, 'm, I: Iterator> Charged<'l, 'm, I> {
 
     /// A range over tiles: each yield bills one tile's bookkeeping +
     /// overhead.
+    #[inline]
     pub fn tiles(inner: I, lane: &'l LaneCtx<'m>) -> Self {
         Self {
             inner,

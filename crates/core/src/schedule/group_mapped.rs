@@ -201,6 +201,7 @@ struct Batch<'b, W> {
 impl<W: TileSet> Batch<'_, W> {
     /// Lane `r`'s balanced atom loop: atoms `r, r + group, r + 2·group, …`
     /// of the batch, calling `f(lane, local_tile, tile, atom)`.
+    #[inline]
     fn walk(&self, lane: &LaneCtx<'_>, mut f: impl FnMut(&LaneCtx<'_>, usize, usize, usize)) {
         let total = self.owner.len();
         let (mut local, mut start, mut end, mut first_atom) = (0, 0, 0, 0);

@@ -16,7 +16,7 @@
 
 use crate::ranges::{step_range, Charged, StepRange};
 use crate::work::TileSet;
-use simt::{LaneCtx, LaunchConfig};
+use simt::{CostModel, LaneCtx, LaunchConfig};
 
 /// One thread's span of a tile under merge-path: which atoms of `tile`
 /// this thread processes and whether that is the whole tile.
@@ -75,19 +75,20 @@ impl<'w, W: TileSet> MergePathSchedule<'w, W> {
         let total = self.total_work();
         let d0 = (lane.global_thread_id() as usize * self.items_per_thread).min(total);
         let d1 = (d0 + self.items_per_thread).min(total);
-        self.charge_search(lane);
+        self.search_charge(lane.model(), lane.block_dim())
+            .bill(lane);
         let (t0, a0) = self.diagonal_search(d0);
         let (t1, a1) = self.diagonal_search(d1);
         MergeSpans::new(self.work, lane, (t0, a0), (t1, a1))
     }
 
-    /// The setup charge of [`Self::spans`]' two diagonal searches.
-    fn charge_search(&self, lane: &LaneCtx<'_>) {
+    /// The setup charge of [`Self::spans`]' two diagonal searches, for a
+    /// thread of a `block_dim`-thread block.
+    pub(crate) fn search_charge(&self, model: &CostModel, block_dim: u32) -> SearchCharge {
         // Two-level partition cost: one global diagonal search per block
         // (amortized) + per-thread search of the block's tile in shared
         // memory — see `CostModel::merge_setup`.
-        let block_items = u64::from(lane.block_dim()) * self.items_per_thread as u64;
-        lane.charge(lane.model().merge_setup(block_items));
+        let block_items = u64::from(block_dim) * self.items_per_thread as u64;
         // The shared-memory search needs the block's window of tile
         // offsets staged from global memory first: one offset per tile
         // boundary in the window, amortized to this thread's share of
@@ -95,7 +96,10 @@ impl<'w, W: TileSet> MergePathSchedule<'w, W> {
         let total = self.total_work();
         let tile_frac = self.work.num_tiles() as f64 / total.max(1) as f64;
         let staged = (4.0 * self.items_per_thread as f64 * tile_frac).ceil() as u64;
-        lane.read_bytes(staged.max(4));
+        SearchCharge {
+            units: model.merge_setup(block_items),
+            staged_bytes: staged.max(4),
+        }
     }
 
     /// Charged range over one span's atoms.
@@ -184,27 +188,28 @@ impl<'w, W: TileSet> MergePathSchedule<'w, W> {
         lane: &'l LaneCtx<'m>,
         starts: &[u32],
     ) -> MergeSpans<'w, 'l, 'm, W> {
-        self.spans_from_table(lane, starts, true)
+        self.spans_from_table(lane, starts, None)
     }
 
-    /// Thread `lane`'s spans read from a [`Self::partition`] table. With
-    /// `cached` the thread is billed one coalesced 4-byte table entry
-    /// ([`Self::spans_prepartitioned`]); without, it is billed exactly
-    /// what [`Self::spans`] bills for the in-kernel search the host-built
-    /// table stands in for — the cold launch.
+    /// Thread `lane`'s spans read from a [`Self::partition`] table. A
+    /// cold launch passes its [`Self::search_charge`], computed once per
+    /// launch, and each thread is billed exactly what [`Self::spans`]
+    /// bills for the in-kernel search the host-built table stands in
+    /// for; without one (a cached table) the thread is billed one
+    /// coalesced 4-byte table entry ([`Self::spans_prepartitioned`]).
+    #[inline]
     pub(crate) fn spans_from_table<'l, 'm>(
         &self,
         lane: &'l LaneCtx<'m>,
         starts: &[u32],
-        cached: bool,
+        search: Option<SearchCharge>,
     ) -> MergeSpans<'w, 'l, 'm, W> {
-        if cached {
+        match search {
+            Some(charge) => charge.bill(lane),
             // The block loads its contiguous slice of the table once,
             // coalesced — amortized one 4-byte entry per thread — instead
             // of staging an offset window and binary-searching it.
-            lane.read_bytes(4);
-        } else {
-            self.charge_search(lane);
+            None => lane.read_bytes(4),
         }
         let total = self.total_work();
         let last = starts.len() - 1;
@@ -227,6 +232,23 @@ impl<'w, W: TileSet> MergePathSchedule<'w, W> {
     }
 }
 
+/// The per-thread setup charge of a cold merge-path launch: the
+/// two-level partition search's units and the staged tile-offset bytes.
+/// Every thread of a launch pays the same, so it is computed once.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SearchCharge {
+    units: f64,
+    staged_bytes: u64,
+}
+
+impl SearchCharge {
+    #[inline]
+    fn bill(self, lane: &LaneCtx<'_>) {
+        lane.charge(self.units);
+        lane.read_bytes(self.staged_bytes);
+    }
+}
+
 /// Iterator over one thread's [`TileSpan`]s. Charges tile bookkeeping per
 /// span through the lane.
 #[derive(Debug)]
@@ -243,6 +265,7 @@ pub struct MergeSpans<'w, 'l, 'm, W> {
 impl<'w, 'l, 'm, W: TileSet> MergeSpans<'w, 'l, 'm, W> {
     /// The spans between merge-path coordinates `(tile, atom)` and
     /// `(end_tile, end_atom)`.
+    #[inline]
     fn new(
         work: &'w W,
         lane: &'l LaneCtx<'m>,
@@ -264,6 +287,7 @@ impl<'w, 'l, 'm, W: TileSet> MergeSpans<'w, 'l, 'm, W> {
 impl<W: TileSet> Iterator for MergeSpans<'_, '_, '_, W> {
     type Item = TileSpan;
 
+    #[inline]
     fn next(&mut self) -> Option<TileSpan> {
         let work = self.work;
         if self.tile < self.end_tile {

@@ -61,6 +61,7 @@ impl<'w, W: TileSet> WorkQueueSchedule<'w, W> {
     /// served *block-cyclically* — chunk `c` goes to block `c mod grid`,
     /// lane `(c / grid) mod block` — because on hardware the first claims
     /// land on warps spread across every SM, not on the lowest thread ids.
+    #[inline]
     pub fn process_tiles(&self, lane: &LaneCtx<'_>, mut f: impl FnMut(&LaneCtx<'_>, usize)) {
         let num_tiles = self.work.num_tiles();
         let grid = lane.grid_dim() as usize;

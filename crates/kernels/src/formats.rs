@@ -172,6 +172,7 @@ struct ViewSpmvExec<'a, M: MatrixView> {
 impl<M: MatrixView> TileExec for ViewSpmvExec<'_, M> {
     const COOPERATIVE_REDUCE: bool = true;
 
+    #[inline(always)]
     fn span(&self, lane: &LaneCtx<'_>, span: &TileSpan) {
         let mut sum = 0.0f32;
         for nz in span_atoms(span, lane) {
@@ -188,12 +189,14 @@ impl<M: MatrixView> TileExec for ViewSpmvExec<'_, M> {
         }
     }
 
+    #[inline]
     fn atom_value(&self, _lane: &LaneCtx<'_>, _tile: usize, nz: usize) -> f32 {
         self.m
             .entry(nz)
             .map_or(0.0, |(c, v)| v * self.x[c as usize])
     }
 
+    #[inline]
     fn tile_done(&self, lane: &LaneCtx<'_>, tile: usize, sum: f32) {
         self.y.store(tile, sum);
         lane.write_bytes(4);
@@ -212,6 +215,7 @@ struct ViewSpmmExec<'a, M: MatrixView> {
 impl<M: MatrixView> TileExec for ViewSpmmExec<'_, M> {
     const COOPERATIVE_REDUCE: bool = false;
 
+    #[inline]
     fn span(&self, lane: &LaneCtx<'_>, span: &TileSpan) {
         for col in loops::ranges::step_range(0, self.n_cols, 1) {
             let mut sum = 0.0f32;
@@ -267,6 +271,8 @@ fn hybrid_spmv_fused(
         h.tail().values(),
     );
     let block = block_dim.min(spec.max_threads_per_block);
+    // A stored slab entry's bytes beyond its column index (value + x).
+    let value_bytes = (model.bytes_per_atom as u64).saturating_sub(4);
     let report = {
         let gy = GlobalMem::new(&mut y);
         simt::launch_threads_with_model(
@@ -290,7 +296,7 @@ fn hybrid_spmv_fused(
                         t.read_bytes(4);
                         let c = scols[s];
                         if c != sparse::ell::PAD {
-                            t.read_bytes((t.model().bytes_per_atom as u64).saturating_sub(4));
+                            t.read_bytes(value_bytes);
                             sum += svals[s] * x[c as usize];
                         }
                     }

@@ -41,6 +41,7 @@ struct SpmvExec<'a> {
 impl TileExec for SpmvExec<'_> {
     const COOPERATIVE_REDUCE: bool = true;
 
+    #[inline(always)]
     fn span(&self, lane: &LaneCtx<'_>, span: &TileSpan) {
         let mut sum = 0.0f32;
         for nz in span_atoms(span, lane) {
@@ -55,10 +56,12 @@ impl TileExec for SpmvExec<'_> {
         }
     }
 
+    #[inline]
     fn atom_value(&self, _lane: &LaneCtx<'_>, _tile: usize, nz: usize) -> f32 {
         self.values[nz] * self.x[self.col_indices[nz] as usize]
     }
 
+    #[inline]
     fn tile_done(&self, lane: &LaneCtx<'_>, tile: usize, sum: f32) {
         self.y.store(tile, sum);
         lane.write_bytes(4);
@@ -211,6 +214,7 @@ pub fn spmv_ell(
     }
     impl TileExec for EllExec<'_> {
         const COOPERATIVE_REDUCE: bool = false;
+        #[inline]
         fn span(&self, lane: &LaneCtx<'_>, span: &TileSpan) {
             let mut sum = 0.0f32;
             for slot in span_atoms(span, lane) {

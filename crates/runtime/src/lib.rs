@@ -231,6 +231,9 @@ pub enum DropReason {
     /// Every dispatch attempt failed (retries exhausted or no device
     /// left alive).
     Failed,
+    /// The request is malformed (`x.len() != matrix.cols()`); it is
+    /// refused on arrival and never reaches admission or a device.
+    Invalid,
 }
 
 /// One dropped request: the runtime accounts for every submission, so
@@ -299,6 +302,8 @@ pub struct RuntimeReport {
     /// Requests dropped after exhausting retries (or with no live
     /// device left).
     pub failed: usize,
+    /// Malformed requests refused on arrival ([`DropReason::Invalid`]).
+    pub invalid: usize,
     /// Dispatch attempts that failed and were retried.
     pub retries: usize,
     /// Requests whose job completed on a different device than their
@@ -358,8 +363,8 @@ impl RuntimeReport {
     /// members, so `batches` and `batched_requests` are zero together
     /// and otherwise `batched_requests ≥ 2 × batches`.
     pub fn reconciles(&self) -> bool {
-        let base =
-            self.submitted == self.served + self.rejected + self.deadline_missed + self.failed;
+        let base = self.submitted
+            == self.served + self.rejected + self.deadline_missed + self.failed + self.invalid;
         let sharded = !self.shard.is_active()
             || (self.shard.routed + self.shard.shard_rejects == self.submitted
                 && self.rejected >= self.shard.shard_rejects);
@@ -459,8 +464,8 @@ impl fmt::Display for RuntimeReport {
 pub struct ServeResult {
     /// Per-request outcomes, in submission order.
     pub completions: Vec<Completion>,
-    /// Requests the runtime dropped (rejected, deadline-missed, or
-    /// failed), so every submission is accounted for.
+    /// Requests the runtime dropped (rejected, deadline-missed, failed
+    /// or invalid), so every submission is accounted for.
     pub dropped: Vec<DroppedRequest>,
     /// Aggregated metrics.
     pub report: RuntimeReport,
@@ -1304,6 +1309,7 @@ impl Runtime {
         let mut dropped: Vec<DroppedRequest> = Vec::new();
         let mut in_flight: Vec<f64> = Vec::new(); // job end times
         let mut rejected = 0usize;
+        let mut invalid = 0usize;
         let mut batches = 0usize;
         let mut batched_requests = 0usize;
         let mut ctrs = ServeCounters::default();
@@ -1371,18 +1377,29 @@ impl Runtime {
         }
 
         for r in order {
-            assert_eq!(
-                r.x.len(),
-                r.matrix.cols(),
-                "request {}: x must have one entry per column",
-                r.id
-            );
             let mut t = r.arrival_ms;
             self.emit(TraceEvent::Request {
                 id: r.id,
                 phase: RequestPhase::Enqueue,
                 ts_ms: r.arrival_ms,
             });
+            // A malformed request is refused on its own, before it can
+            // hold a queue slot or join a batch.
+            if r.x.len() != r.matrix.cols() {
+                invalid += 1;
+                dropped.push(DroppedRequest {
+                    id: r.id,
+                    ts_ms: t,
+                    reason: DropReason::Invalid,
+                });
+                self.emit(TraceEvent::TenantSample {
+                    tenant: r.tenant,
+                    ts_ms: t,
+                    latency_ms: 0.0,
+                    outcome: TenantOutcome::Invalid,
+                });
+                continue;
+            }
             // A due batch flushes before this arrival is admitted.
             if deadline <= t {
                 let at = deadline.max(pending.iter().fold(0.0f64, |m, (_, pt)| m.max(*pt)));
@@ -1511,6 +1528,7 @@ impl Runtime {
             rejected,
             deadline_missed: ctrs.deadline_missed,
             failed: ctrs.failed,
+            invalid,
             retries: ctrs.retries,
             failovers: ctrs.failovers,
             plan_fallbacks: ctrs.plan_fallbacks,
@@ -2257,6 +2275,7 @@ mod tests {
             rejected: 5,
             deadline_missed: 0,
             failed: 0,
+            invalid: 0,
             retries: 0,
             failovers: 0,
             plan_fallbacks: 0,
@@ -2306,6 +2325,7 @@ mod tests {
             rejected: 3,
             deadline_missed: 2,
             failed: 1,
+            invalid: 0,
             retries: 4,
             failovers: 2,
             plan_fallbacks: 1,
@@ -2482,6 +2502,40 @@ mod tests {
         assert_eq!(out.report.cache.hits, 0);
         assert_eq!(out.report.cache.misses, 9);
         assert!(out.report.cache.evictions >= 6);
+    }
+
+    #[test]
+    fn a_request_with_the_wrong_x_length_is_dropped_not_fatal() {
+        let m = corpus(3, 330);
+        let good = stream(&m, 40);
+        let bad_id = good[17].id;
+        let mut reqs = good.clone();
+        let cols = reqs[17].matrix.cols();
+        reqs[17].x = vec![1.0f32; cols + 1].into();
+        let cfg = RuntimeConfig {
+            keep_results: true,
+            ..RuntimeConfig::default()
+        };
+        let out = Runtime::new(GpuSpec::v100(), cfg)
+            .serve(&reqs)
+            .expect("one malformed request must not fail the stream");
+        assert_eq!(out.report.submitted, 40);
+        assert_eq!(out.report.served, 39);
+        assert_eq!(out.report.invalid, 1);
+        assert!(out.report.reconciles());
+        assert_eq!(out.dropped.len(), 1);
+        assert_eq!(out.dropped[0].id, bad_id);
+        assert_eq!(out.dropped[0].reason, DropReason::Invalid);
+        // The drop happens before admission, so the good requests are
+        // served exactly as if the bad one had never arrived.
+        let without: Vec<Request> = good.into_iter().filter(|r| r.id != bad_id).collect();
+        let want = Runtime::new(GpuSpec::v100(), cfg).serve(&without).unwrap();
+        assert_eq!(out.completions.len(), want.completions.len());
+        for (a, b) in out.completions.iter().zip(&want.completions) {
+            assert_eq!(a.id, b.id);
+            assert_eq!(a.y, b.y);
+            assert_eq!(a.end_ms.to_bits(), b.end_ms.to_bits());
+        }
     }
 
     // ---- resilience ----------------------------------------------------

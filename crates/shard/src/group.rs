@@ -242,6 +242,7 @@ impl ShardGroup {
         let mut dropped: Vec<DroppedRequest> = Vec::new();
         let mut counters = ShardCounters::default();
         let mut deadline_missed = 0usize;
+        let mut invalid = 0usize;
         // The split path is bulk-synchronous: one request occupies the
         // whole group at a time, so admitted-but-unfinished requests
         // form a FIFO whose completion times are non-decreasing.
@@ -270,6 +271,18 @@ impl ShardGroup {
             let home = self.ring.route(r.id);
             counters.routed += 1;
             self.emit(home, ShardPhase::Route, r.arrival_ms, r.id as f64);
+            // A malformed request is refused at its home shard, as
+            // routed mode's shard runtime refuses it.
+            if r.x.len() != r.matrix.cols() {
+                invalid += 1;
+                self.emit_tenant(r.tenant, r.arrival_ms, 0.0, TenantOutcome::Invalid);
+                dropped.push(DroppedRequest {
+                    id: r.id,
+                    ts_ms: r.arrival_ms,
+                    reason: DropReason::Invalid,
+                });
+                continue;
+            }
 
             let start = r.arrival_ms.max(busy_until);
             if start - r.arrival_ms > self.cfg.runtime.deadline_ms {
@@ -329,6 +342,7 @@ impl ShardGroup {
         let mut report = self.assemble_report(requests.len(), &completions, &cache_before);
         report.rejected = counters.shard_rejects;
         report.deadline_missed = deadline_missed;
+        report.invalid = invalid;
         report.shard = counters;
         debug_assert!(report.reconciles(), "split accounting must balance");
         Ok(ServeResult {
@@ -400,6 +414,7 @@ impl ShardGroup {
                         DropReason::Rejected => TenantOutcome::Rejected,
                         DropReason::DeadlineMissed => TenantOutcome::DeadlineMiss,
                         DropReason::Failed => TenantOutcome::Failed,
+                        DropReason::Invalid => TenantOutcome::Invalid,
                     };
                     self.emit_tenant(tenant, d.ts_ms, (d.ts_ms - arrival_ms).max(0.0), outcome);
                 }
@@ -510,6 +525,7 @@ impl ShardGroup {
             rejected: 0,
             deadline_missed: 0,
             failed: 0,
+            invalid: 0,
             retries: 0,
             failovers: 0,
             plan_fallbacks: 0,
@@ -553,6 +569,7 @@ fn merge_reports(mut acc: RuntimeReport, rep: RuntimeReport) -> RuntimeReport {
     acc.rejected += rep.rejected;
     acc.deadline_missed += rep.deadline_missed;
     acc.failed += rep.failed;
+    acc.invalid += rep.invalid;
     acc.retries += rep.retries;
     acc.failovers += rep.failovers;
     acc.plan_fallbacks += rep.plan_fallbacks;
@@ -673,6 +690,25 @@ mod tests {
         shards_hit.sort_unstable();
         shards_hit.dedup();
         assert!(shards_hit.len() > 1, "routing never left one shard");
+    }
+
+    #[test]
+    fn a_malformed_request_is_dropped_as_invalid_in_both_modes() {
+        let mut reqs = workload(30);
+        let bad_id = reqs[11].id;
+        let cols = reqs[11].matrix.cols();
+        reqs[11].x = vec![1.0f32; cols - 1].into();
+        for (mode, out) in [
+            ("split", group(4).serve_split(&reqs).unwrap()),
+            ("routed", group(4).serve_routed(&reqs).unwrap()),
+        ] {
+            assert_eq!(out.report.invalid, 1, "{mode}");
+            assert_eq!(out.report.served, 29, "{mode}");
+            assert!(out.report.reconciles(), "{mode}");
+            let bad: Vec<_> = out.dropped.iter().filter(|d| d.id == bad_id).collect();
+            assert_eq!(bad.len(), 1, "{mode}");
+            assert_eq!(bad[0].reason, DropReason::Invalid, "{mode}");
+        }
     }
 
     #[test]

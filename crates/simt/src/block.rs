@@ -10,7 +10,7 @@
 use crate::cost::{CostModel, MemCounters, MemSummary};
 use crate::error::LaunchError;
 use crate::group::GroupCtx;
-use crate::lane::LaneCtx;
+use crate::lane::{LaneCharges, LaneCtx};
 use crate::shared::{SharedBuf, SharedTracker};
 use crate::spec::GpuSpec;
 
@@ -20,7 +20,7 @@ pub struct BlockCtx<'a> {
     block_dim: u32,
     grid_dim: u32,
     spec: &'a GpuSpec,
-    model: &'a CostModel,
+    charges: LaneCharges<'a>,
     warp_costs: Vec<f64>,
     warp_active: Vec<f64>,
     counters: MemCounters,
@@ -89,7 +89,7 @@ impl<'a> BlockCtx<'a> {
             block_dim,
             grid_dim,
             spec,
-            model,
+            charges: LaneCharges::new(model),
             warp_costs: vec![0.0; num_warps],
             warp_active: if stats { vec![0.0; num_warps] } else { Vec::new() },
             counters: MemCounters::new(),
@@ -129,7 +129,7 @@ impl<'a> BlockCtx<'a> {
 
     /// The cost model in effect.
     pub fn model(&self) -> &CostModel {
-        self.model
+        self.charges.model
     }
 
     // ---- shared memory -------------------------------------------------
@@ -150,37 +150,40 @@ impl<'a> BlockCtx<'a> {
     /// of other warps. This is the execution shape of per-thread kernels
     /// like thread-mapped or merge-path SpMV. Call [`BlockCtx::sync`]
     /// afterwards if the kernel needs `__syncthreads` semantics.
+    #[inline]
     pub fn for_each_thread(&mut self, mut f: impl FnMut(&LaneCtx<'_>)) {
         let warp_size = self.spec.warp_size;
         let prologue = if self.prologue_charged {
             0.0
         } else {
-            self.model.thread_prologue_cost
+            self.charges.model.thread_prologue_cost
         };
         self.prologue_charged = true;
-        let mut warp_max = vec![0.0f64; self.warp_costs.len()];
-        for t in 0..self.block_dim {
-            let lane = LaneCtx::new(
-                t,
-                self.block_idx,
-                self.block_dim,
-                self.grid_dim,
-                warp_size,
-                t,
-                self.block_dim,
-                self.model,
-            );
-            lane.charge(prologue);
-            f(&lane);
-            let w = (t / warp_size) as usize;
-            warp_max[w] = warp_max[w].max(lane.units());
-            if self.stats {
-                self.warp_active[w] += lane.units();
+        // Lanes run in thread order, so each warp's lanes are consecutive:
+        // its maximum is a running value, folded in when the warp ends.
+        for (w, cost) in self.warp_costs.iter_mut().enumerate() {
+            let first = w as u32 * warp_size;
+            let mut warp_max = 0.0f64;
+            for t in first..(first + warp_size).min(self.block_dim) {
+                let lane = LaneCtx::new(
+                    t,
+                    self.block_idx,
+                    self.block_dim,
+                    self.grid_dim,
+                    warp_size,
+                    t,
+                    self.block_dim,
+                    self.charges,
+                );
+                lane.charge(prologue);
+                f(&lane);
+                warp_max = warp_max.max(lane.units());
+                if self.stats {
+                    self.warp_active[w] += lane.units();
+                }
+                self.counters.merge(lane.counters());
             }
-            self.counters.merge(lane.counters());
-        }
-        for (c, m) in self.warp_costs.iter_mut().zip(warp_max) {
-            *c += m;
+            *cost += warp_max;
         }
     }
 
@@ -215,7 +218,7 @@ impl<'a> BlockCtx<'a> {
                     self.block_dim,
                     self.grid_dim,
                     warp_size,
-                    self.model,
+                    self.charges,
                     &self.counters,
                     &self.shared,
                 );
@@ -243,7 +246,7 @@ impl<'a> BlockCtx<'a> {
                     self.block_dim,
                     self.grid_dim,
                     warp_size,
-                    self.model,
+                    self.charges,
                     &self.counters,
                     &self.shared,
                 );
@@ -463,6 +466,170 @@ mod tests {
         for (c, a) in cost.warp_costs.iter().zip(&cost.warp_active) {
             assert!((a - c * 8.0).abs() < 1e-12);
         }
+    }
+
+    /// One lane's charges in phase `p`: non-dyadic increments (the
+    /// range overhead 0.18, `0.3 / (t + 1)`) interleaved with integer
+    /// costs, plus traffic. The mix is chosen so that moving the
+    /// prologue charge after the body, or summing phase maxima in
+    /// another order, changes the block's bits. Returns the lane's units from the plain fold
+    /// `start + c₁ + c₂ + …` and its (read, write, atomic, shared)
+    /// counts, after performing the same charges on `lane`.
+    fn scripted(
+        lane: Option<&LaneCtx<'_>>,
+        m: &CostModel,
+        t: u32,
+        p: u32,
+        start: f64,
+    ) -> (f64, [u64; 4]) {
+        let mut u = start;
+        let mut c = [0u64; 4];
+        for i in 0..(t * 5 + p * 3) % 7 + 2 {
+            u += m.range_overhead;
+            u += m.atom_cost;
+            c[0] += m.bytes_per_atom as u64;
+            if let Some(l) = lane {
+                l.charge_range_iter();
+                l.charge_atom();
+            }
+            if i % 3 == 1 {
+                let extra = 0.3 / f64::from(t + 1);
+                u += extra;
+                if let Some(l) = lane {
+                    l.charge(extra);
+                }
+            }
+        }
+        if t.is_multiple_of(4) {
+            u += m.tile_cost;
+            c[0] += m.bytes_per_tile as u64;
+            if let Some(l) = lane {
+                l.charge_tile();
+            }
+        }
+        if t % 5 == 2 {
+            u += m.atomic_cost;
+            c[1] += 8;
+            c[2] += 1;
+            if let Some(l) = lane {
+                l.charge_atomic();
+            }
+        }
+        if t.is_multiple_of(3) {
+            u += m.shared_access_cost;
+            c[3] += 1;
+            if let Some(l) = lane {
+                l.charge_shared();
+            }
+        }
+        c[0] += u64::from(t % 3);
+        c[1] += 4;
+        if let Some(l) = lane {
+            l.read_bytes(u64::from(t % 3));
+            l.write_bytes(4);
+        }
+        (u, c)
+    }
+
+    #[test]
+    fn block_cost_matches_a_plain_reference_fold_bit_for_bit() {
+        let spec = GpuSpec::test_tiny(); // warp = 8
+        let model = CostModel::standard();
+        let (dim, ws) = (32u32, 8u32);
+        let warps = (dim / ws) as usize;
+        let mut b = BlockCtx::with_stats(0, dim, 16, 4096, &spec, &model, true);
+        // Two whole-block thread phases, then a two-warp group phase
+        // pair with a collective, then a sub-warp (4-lane) phase pair.
+        for p in 0..2 {
+            b.for_each_thread(|l| {
+                scripted(Some(l), &model, l.thread_idx(), p, 0.0);
+            });
+        }
+        b.for_each_group(16, |g| {
+            g.phase_for_each(|l| {
+                scripted(Some(l), &model, l.thread_idx(), 2, 0.0);
+            });
+            g.charge_collective_step();
+            g.phase_for_each(|l| {
+                scripted(Some(l), &model, l.thread_idx(), 3, 0.0);
+            });
+        });
+        b.for_each_group(4, |g| {
+            for p in 4..6 {
+                g.phase_for_each(|l| {
+                    scripted(Some(l), &model, l.thread_idx(), p, 0.0);
+                });
+            }
+        });
+        let cost = b.finish().unwrap();
+
+        // Reference fold: per-lane sums from zero, warp maxima, phase
+        // maxima and their sums, in the order the block defines.
+        let mut warp = vec![0.0f64; warps];
+        let mut active = vec![0.0f64; warps];
+        let mut mem = [0u64; 4];
+        for p in 0..2 {
+            let prologue = if p == 0 {
+                model.thread_prologue_cost
+            } else {
+                0.0
+            };
+            for w in 0..warps {
+                let mut max = 0.0f64;
+                for t in w as u32 * ws..(w as u32 + 1) * ws {
+                    let (u, c) = scripted(None, &model, t, p, 0.0 + prologue);
+                    max = max.max(u);
+                    active[w] += u;
+                    mem.iter_mut().zip(c).for_each(|(a, b)| *a += b);
+                }
+                warp[w] += max;
+            }
+        }
+        let group_phase = |first: u32, size: u32, p: u32, mem: &mut [u64; 4]| {
+            let prologue = if p.is_multiple_of(2) {
+                model.thread_prologue_cost
+            } else {
+                0.0
+            };
+            let mut max = 0.0f64;
+            for t in first..first + size {
+                let (u, c) = scripted(None, &model, t, p, 0.0 + prologue);
+                max = max.max(u);
+                mem.iter_mut().zip(c).for_each(|(a, b)| *a += b);
+            }
+            max
+        };
+        for g in 0..2u32 {
+            let a = group_phase(g * 16, 16, 2, &mut mem);
+            let total = 0.0 + a + model.collective(16) + group_phase(g * 16, 16, 3, &mut mem);
+            mem[3] += 16;
+            for w in (2 * g) as usize..(2 * g + 2) as usize {
+                warp[w] += total;
+                active[w] += total * f64::from(ws);
+            }
+        }
+        for w in 0..warps as u32 {
+            let mut phase = [0.0f64; 2];
+            for g in [2 * w, 2 * w + 1] {
+                for (q, p) in (4..6).enumerate() {
+                    phase[q] = phase[q].max(group_phase(g * 4, 4, p, &mut mem));
+                }
+            }
+            let total = 0.0 + phase[0] + phase[1];
+            warp[w as usize] += total;
+            active[w as usize] += total * f64::from(ws);
+        }
+
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&cost.warp_costs), bits(&warp));
+        assert_eq!(bits(&cost.warp_active), bits(&active));
+        let want = MemSummary {
+            read_bytes: mem[0],
+            write_bytes: mem[1],
+            atomic_ops: mem[2],
+            shared_accesses: mem[3],
+        };
+        assert_eq!(cost.mem, want);
     }
 
     #[test]

@@ -151,31 +151,37 @@ impl MemCounters {
     }
 
     /// Record `n` bytes read from global memory.
+    #[inline]
     pub fn add_read(&self, n: u64) {
         self.read_bytes.set(self.read_bytes.get() + n);
     }
 
     /// Record `n` bytes written to global memory.
+    #[inline]
     pub fn add_write(&self, n: u64) {
         self.write_bytes.set(self.write_bytes.get() + n);
     }
 
     /// Record one global atomic operation.
+    #[inline]
     pub fn add_atomic(&self) {
         self.atomic_ops.set(self.atomic_ops.get() + 1);
     }
 
     /// Record one shared-memory access.
+    #[inline]
     pub fn add_shared(&self) {
         self.shared_accesses.set(self.shared_accesses.get() + 1);
     }
 
     /// Bytes read so far.
+    #[inline]
     pub fn read_bytes(&self) -> u64 {
         self.read_bytes.get()
     }
 
     /// Bytes written so far.
+    #[inline]
     pub fn write_bytes(&self) -> u64 {
         self.write_bytes.get()
     }
@@ -186,16 +192,19 @@ impl MemCounters {
     }
 
     /// Number of global atomics so far.
+    #[inline]
     pub fn atomic_ops(&self) -> u64 {
         self.atomic_ops.get()
     }
 
     /// Number of shared-memory accesses so far.
+    #[inline]
     pub fn shared_accesses(&self) -> u64 {
         self.shared_accesses.get()
     }
 
     /// Fold another counter set into this one.
+    #[inline]
     pub fn merge(&self, other: &MemCounters) {
         self.add_read(other.read_bytes());
         self.add_write(other.write_bytes());

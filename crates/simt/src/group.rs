@@ -21,7 +21,7 @@
 //!   charged the max over its co-resident groups, not their sum.
 
 use crate::cost::{CostModel, MemCounters};
-use crate::lane::LaneCtx;
+use crate::lane::{LaneCharges, LaneCtx};
 use crate::shared::{SharedBuf, SharedTracker};
 
 /// Execution context for one cooperative group within a block.
@@ -32,7 +32,7 @@ pub struct GroupCtx<'a> {
     block_dim: u32,
     grid_dim: u32,
     warp_size: u32,
-    model: &'a CostModel,
+    charges: LaneCharges<'a>,
     counters: &'a MemCounters,
     shared: &'a SharedTracker,
     /// Max lane cost per completed phase (collectives append too).
@@ -49,7 +49,7 @@ impl<'a> GroupCtx<'a> {
         block_dim: u32,
         grid_dim: u32,
         warp_size: u32,
-        model: &'a CostModel,
+        charges: LaneCharges<'a>,
         counters: &'a MemCounters,
         shared: &'a SharedTracker,
     ) -> Self {
@@ -60,7 +60,7 @@ impl<'a> GroupCtx<'a> {
             block_dim,
             grid_dim,
             warp_size,
-            model,
+            charges,
             counters,
             shared,
             phase_maxima: Vec::new(),
@@ -107,7 +107,7 @@ impl<'a> GroupCtx<'a> {
 
     /// The cost model in effect.
     pub fn model(&self) -> &CostModel {
-        self.model
+        self.charges.model
     }
 
     // ---- shared memory ---------------------------------------------------
@@ -126,11 +126,12 @@ impl<'a> GroupCtx<'a> {
 
     /// Run one phase: `f` executes once per lane; the phase ends with a
     /// group barrier. Returns the per-lane results.
+    #[inline]
     pub fn phase<T>(&mut self, mut f: impl FnMut(&LaneCtx<'_>) -> T) -> Vec<T> {
         let mut out = Vec::with_capacity(self.group_size as usize);
         let mut max_cost = 0.0f64;
         let prologue = if self.phases_run == 0 {
-            self.model.thread_prologue_cost
+            self.charges.model.thread_prologue_cost
         } else {
             0.0
         };
@@ -143,7 +144,7 @@ impl<'a> GroupCtx<'a> {
                 self.warp_size,
                 r,
                 self.group_size,
-                self.model,
+                self.charges,
             );
             lane.charge(prologue);
             out.push(f(&lane));
@@ -156,6 +157,7 @@ impl<'a> GroupCtx<'a> {
     }
 
     /// Run one phase for side effects only.
+    #[inline]
     pub fn phase_for_each(&mut self, mut f: impl FnMut(&LaneCtx<'_>)) {
         let _ = self.phase(|l| f(l));
     }
@@ -163,7 +165,8 @@ impl<'a> GroupCtx<'a> {
     // ---- collectives -----------------------------------------------------
 
     fn charge_collective(&mut self) {
-        self.phase_maxima.push(self.model.collective(self.group_size));
+        self.phase_maxima
+            .push(self.charges.model.collective(self.group_size));
         for _ in 0..self.group_size {
             self.counters.add_shared();
         }
@@ -231,7 +234,7 @@ impl<'a> GroupCtx<'a> {
     /// `__shfl_sync`). Cost: one collective step.
     pub fn broadcast<T: Copy>(&mut self, vals: &[T], src: u32) -> T {
         assert_eq!(vals.len(), self.group_size as usize);
-        self.phase_maxima.push(self.model.scan_step_cost);
+        self.phase_maxima.push(self.charges.model.scan_step_cost);
         vals[src as usize]
     }
 
@@ -240,7 +243,7 @@ impl<'a> GroupCtx<'a> {
     /// Cost: one collective step.
     pub fn shfl_down<T: Copy>(&mut self, vals: &[T], delta: u32) -> Vec<T> {
         assert_eq!(vals.len(), self.group_size as usize);
-        self.phase_maxima.push(self.model.scan_step_cost);
+        self.phase_maxima.push(self.charges.model.scan_step_cost);
         (0..vals.len())
             .map(|r| {
                 let src = r + delta as usize;
@@ -257,7 +260,7 @@ impl<'a> GroupCtx<'a> {
     /// below the edge keep their own). Cost: one collective step.
     pub fn shfl_up<T: Copy>(&mut self, vals: &[T], delta: u32) -> Vec<T> {
         assert_eq!(vals.len(), self.group_size as usize);
-        self.phase_maxima.push(self.model.scan_step_cost);
+        self.phase_maxima.push(self.charges.model.scan_step_cost);
         (0..vals.len())
             .map(|r| {
                 if r >= delta as usize {
@@ -278,7 +281,7 @@ impl<'a> GroupCtx<'a> {
             self.group_size.is_power_of_two(),
             "xor shuffle needs a power-of-two group"
         );
-        self.phase_maxima.push(self.model.scan_step_cost);
+        self.phase_maxima.push(self.charges.model.scan_step_cost);
         (0..vals.len())
             .map(|r| vals[(r ^ mask as usize) % vals.len()])
             .collect()
@@ -315,7 +318,17 @@ mod tests {
         counters: &'a MemCounters,
         shared: &'a SharedTracker,
     ) -> GroupCtx<'a> {
-        GroupCtx::new(1, 8, 2, 32, 10, 8, model, counters, shared)
+        GroupCtx::new(
+            1,
+            8,
+            2,
+            32,
+            10,
+            8,
+            LaneCharges::new(model),
+            counters,
+            shared,
+        )
     }
 
     #[test]
@@ -433,7 +446,7 @@ mod tests {
         let m = CostModel::standard();
         let c = MemCounters::new();
         let s = SharedTracker::new(1024);
-        let mut g = GroupCtx::new(0, 3, 0, 3, 1, 8, &m, &c, &s);
+        let mut g = GroupCtx::new(0, 3, 0, 3, 1, 8, LaneCharges::new(&m), &c, &s);
         let _ = g.shfl_xor(&[1, 2, 3], 1);
     }
 
@@ -458,7 +471,7 @@ mod tests {
         let mut g = ctx(&m, &c, &s);
         assert_eq!(g.reduce_max_u64(&[3, 9, 1, 7, 2, 2, 8, 0]), 9);
         // Single-lane group: collectives degenerate gracefully.
-        let mut g1 = GroupCtx::new(0, 1, 0, 8, 1, 8, &m, &c, &s);
+        let mut g1 = GroupCtx::new(0, 1, 0, 8, 1, 8, LaneCharges::new(&m), &c, &s);
         let mut v = vec![5u64];
         assert_eq!(g1.exclusive_scan(&mut v), 5);
         assert_eq!(v, vec![0]);

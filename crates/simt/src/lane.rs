@@ -6,8 +6,31 @@
 //! framework's composable ranges — can hold shared references to one lane
 //! at a time, mirroring how device code freely mixes loop nests over the
 //! same thread state.
+//!
+//! The charging methods and accessors are `#[inline]`: kernels and
+//! schedules live in other crates, and only a lane body that inlines whole
+//! keeps the lane's units and counters in registers (see DESIGN.md §13).
 
 use crate::cost::{CostModel, MemCounters};
+
+/// The cost model of a block plus its per-atom and per-tile byte charges,
+/// converted to integers once per block rather than on every charge.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct LaneCharges<'a> {
+    pub(crate) model: &'a CostModel,
+    atom_bytes: u64,
+    tile_bytes: u64,
+}
+
+impl<'a> LaneCharges<'a> {
+    pub(crate) fn new(model: &'a CostModel) -> Self {
+        Self {
+            model,
+            atom_bytes: model.bytes_per_atom as u64,
+            tile_bytes: model.bytes_per_tile as u64,
+        }
+    }
+}
 
 /// Execution context for one simulated thread ("lane").
 #[derive(Debug)]
@@ -19,13 +42,14 @@ pub struct LaneCtx<'a> {
     warp_size: u32,
     group_rank: u32,
     group_size: u32,
-    model: &'a CostModel,
+    charges: LaneCharges<'a>,
     units: std::cell::Cell<f64>,
     counters: MemCounters,
 }
 
 impl<'a> LaneCtx<'a> {
     #[allow(clippy::too_many_arguments)]
+    #[inline]
     pub(crate) fn new(
         thread_idx: u32,
         block_idx: u32,
@@ -34,7 +58,7 @@ impl<'a> LaneCtx<'a> {
         warp_size: u32,
         group_rank: u32,
         group_size: u32,
-        model: &'a CostModel,
+        charges: LaneCharges<'a>,
     ) -> Self {
         Self {
             thread_idx,
@@ -44,7 +68,7 @@ impl<'a> LaneCtx<'a> {
             warp_size,
             group_rank,
             group_size,
-            model,
+            charges,
             units: std::cell::Cell::new(0.0),
             counters: MemCounters::new(),
         }
@@ -53,58 +77,69 @@ impl<'a> LaneCtx<'a> {
     // ---- coordinates -----------------------------------------------------
 
     /// `threadIdx.x`: index of this thread within its block.
+    #[inline]
     pub fn thread_idx(&self) -> u32 {
         self.thread_idx
     }
 
     /// `blockIdx.x`.
+    #[inline]
     pub fn block_idx(&self) -> u32 {
         self.block_idx
     }
 
     /// `blockDim.x`.
+    #[inline]
     pub fn block_dim(&self) -> u32 {
         self.block_dim
     }
 
     /// `gridDim.x`.
+    #[inline]
     pub fn grid_dim(&self) -> u32 {
         self.grid_dim
     }
 
     /// `blockIdx.x * blockDim.x + threadIdx.x`.
+    #[inline]
     pub fn global_thread_id(&self) -> u64 {
         u64::from(self.block_idx) * u64::from(self.block_dim) + u64::from(self.thread_idx)
     }
 
     /// `gridDim.x * blockDim.x` — the stride of a grid-stride loop.
+    #[inline]
     pub fn grid_size(&self) -> u64 {
         u64::from(self.grid_dim) * u64::from(self.block_dim)
     }
 
     /// Lane index within the warp (`threadIdx.x % warpSize`).
+    #[inline]
     pub fn lane_id(&self) -> u32 {
         self.thread_idx % self.warp_size
     }
 
     /// Warp index within the block.
+    #[inline]
     pub fn warp_id(&self) -> u32 {
         self.thread_idx / self.warp_size
     }
 
     /// Width of a warp on this device.
+    #[inline]
     pub fn warp_size(&self) -> u32 {
         self.warp_size
     }
 
     /// Rank of this lane within its cooperative group (equals
     /// [`Self::thread_idx`] for whole-block phases).
+    #[inline]
     pub fn group_rank(&self) -> u32 {
         self.group_rank
     }
 
     /// Size of the cooperative group this lane runs in (equals
     /// [`Self::block_dim`] for whole-block phases).
+    #[inline]
     pub fn group_size(&self) -> u32 {
         self.group_size
     }
@@ -112,8 +147,9 @@ impl<'a> LaneCtx<'a> {
     // ---- cost charging ---------------------------------------------------
 
     /// The cost model in effect for this launch.
+    #[inline]
     pub fn model(&self) -> &CostModel {
-        self.model
+        self.charges.model
     }
 
     /// Charge raw work units.
@@ -126,34 +162,34 @@ impl<'a> LaneCtx<'a> {
     /// traffic.
     #[inline]
     pub fn charge_atom(&self) {
-        self.charge(self.model.atom_cost);
-        self.counters.add_read(self.model.bytes_per_atom as u64);
+        self.charge(self.charges.model.atom_cost);
+        self.counters.add_read(self.charges.atom_bytes);
     }
 
     /// Charge the bookkeeping for starting/finishing one work tile.
     #[inline]
     pub fn charge_tile(&self) {
-        self.charge(self.model.tile_cost);
-        self.counters.add_read(self.model.bytes_per_tile as u64);
+        self.charge(self.charges.model.tile_cost);
+        self.counters.add_read(self.charges.tile_bytes);
     }
 
     /// Charge one iteration of a framework range (the abstraction
     /// overhead; fused baselines never call this).
     #[inline]
     pub fn charge_range_iter(&self) {
-        self.charge(self.model.range_overhead);
+        self.charge(self.charges.model.range_overhead);
     }
 
     /// Charge a binary search over `n` elements.
     #[inline]
     pub fn charge_search(&self, n: u64) {
-        self.charge(self.model.binary_search(n));
+        self.charge(self.charges.model.binary_search(n));
     }
 
     /// Charge one global atomic operation (also counts its traffic).
     #[inline]
     pub fn charge_atomic(&self) {
-        self.charge(self.model.atomic_cost);
+        self.charge(self.charges.model.atomic_cost);
         self.counters.add_atomic();
         self.counters.add_write(8);
     }
@@ -161,7 +197,7 @@ impl<'a> LaneCtx<'a> {
     /// Charge one shared-memory access.
     #[inline]
     pub fn charge_shared(&self) {
-        self.charge(self.model.shared_access_cost);
+        self.charge(self.charges.model.shared_access_cost);
         self.counters.add_shared();
     }
 
@@ -179,10 +215,12 @@ impl<'a> LaneCtx<'a> {
     }
 
     /// Total units charged so far by this lane.
+    #[inline]
     pub fn units(&self) -> f64 {
         self.units.get()
     }
 
+    #[inline]
     pub(crate) fn counters(&self) -> &MemCounters {
         &self.counters
     }
@@ -193,7 +231,7 @@ mod tests {
     use super::*;
 
     fn lane(model: &CostModel) -> LaneCtx<'_> {
-        LaneCtx::new(37, 5, 128, 100, 32, 37, 128, model)
+        LaneCtx::new(37, 5, 128, 100, 32, 37, 128, LaneCharges::new(model))
     }
 
     #[test]

@@ -224,6 +224,9 @@ impl TraceSink for TelemetryCollector {
                     TenantOutcome::Failed => {
                         reg.counter_add("failed_total", NO_LABELS, ts_ms, 1.0);
                     }
+                    TenantOutcome::Invalid => {
+                        reg.counter_add("invalid_total", NO_LABELS, ts_ms, 1.0);
+                    }
                 }
             }
             TraceEvent::Tune { phase, ts_ms, .. } => {

@@ -189,6 +189,8 @@ pub enum TenantOutcome {
     DeadlineMiss,
     /// Every dispatch attempt failed.
     Failed,
+    /// The request was malformed and refused on arrival.
+    Invalid,
 }
 
 impl TenantOutcome {
@@ -199,6 +201,7 @@ impl TenantOutcome {
             Self::Rejected => "rejected",
             Self::DeadlineMiss => "deadline_miss",
             Self::Failed => "failed",
+            Self::Invalid => "invalid",
         }
     }
 }
@@ -454,6 +457,7 @@ mod tests {
         assert_eq!(TenantOutcome::Rejected.name(), "rejected");
         assert_eq!(TenantOutcome::DeadlineMiss.name(), "deadline_miss");
         assert_eq!(TenantOutcome::Failed.name(), "failed");
+        assert_eq!(TenantOutcome::Invalid.name(), "invalid");
         assert_eq!(AlertKind::SloBurnRate.name(), "slo_burn_rate");
         assert_eq!(AlertKind::CacheHitCollapse.name(), "cache_hit_collapse");
         assert_eq!(AlertKind::QueueGrowth.name(), "queue_growth");
