@@ -104,4 +104,4 @@ pub use schedule::{
     GroupMappedSchedule, LrbPlan, LrbSchedule, MergePathSchedule, ScheduleKind,
     ThreadMappedSchedule, TileSpan, WorkQueueSchedule,
 };
-pub use work::{CountedTiles, RowSpanTiles, SliceTiles, SubsetTiles, TileSet};
+pub use work::{CountedTiles, SliceTiles, SubsetTiles, TileSet};

@@ -142,68 +142,6 @@ impl TileSet for CountedTiles {
     }
 }
 
-/// A contiguous row-span *view* of an offsets array: tile `t` is global
-/// tile `rows.start + t`, with atom coordinates rebased so the span's
-/// first atom is 0.
-///
-/// This is the partition-aware tile set sharding runs on: a shard owns
-/// `rows` of a matrix and executes against the *original* offsets with
-/// values/column slices rebased by [`RowSpanTiles::atom_base`] — no
-/// sub-matrix materialization. The rebased boundaries form a monotone
-/// prefix starting at 0, so the view stays contiguous and every
-/// schedule (merge-path included) accepts it unchanged.
-#[derive(Debug, Clone)]
-pub struct RowSpanTiles<'a> {
-    offsets: &'a [usize],
-    rows: Range<usize>,
-    base: usize,
-}
-
-impl<'a> RowSpanTiles<'a> {
-    /// View the tiles `rows` of an offsets array (`len = tiles + 1`).
-    pub fn new(offsets: &'a [usize], rows: Range<usize>) -> Self {
-        assert!(
-            rows.start <= rows.end && rows.end < offsets.len(),
-            "row span out of bounds"
-        );
-        let base = offsets[rows.start];
-        Self {
-            offsets,
-            rows,
-            base,
-        }
-    }
-
-    /// The global tile id of local tile `t`.
-    pub fn global_row(&self, t: usize) -> usize {
-        self.rows.start + t
-    }
-
-    /// The flat atom offset the span starts at in the wrapped array —
-    /// the amount executors must slice their atom-indexed arrays by.
-    pub fn atom_base(&self) -> usize {
-        self.base
-    }
-}
-
-impl TileSet for RowSpanTiles<'_> {
-    fn num_tiles(&self) -> usize {
-        self.rows.len()
-    }
-    fn num_atoms(&self) -> usize {
-        self.offsets[self.rows.end] - self.base
-    }
-    #[inline]
-    fn tile_atoms(&self, t: usize) -> Range<usize> {
-        (self.offsets[self.rows.start + t] - self.base)
-            ..(self.offsets[self.rows.start + t + 1] - self.base)
-    }
-    #[inline]
-    fn tile_offset(&self, i: usize) -> usize {
-        self.offsets[self.rows.start + i] - self.base
-    }
-}
-
 /// A non-contiguous *view* of another tile set: local tile `i` is the
 /// wrapped set's tile `tiles[i]`.
 ///
@@ -308,56 +246,6 @@ mod tests {
         // The identity subset of a contiguous set stays contiguous.
         let all = [0u32, 1, 2, 3, 4];
         assert!(SubsetTiles::new(&w, &all).is_contiguous());
-    }
-
-    #[test]
-    fn row_span_tiles_rebase_a_window() {
-        let offs = [0usize, 2, 2, 5, 9, 10];
-        let w = RowSpanTiles::new(&offs, 2..4);
-        assert_eq!(w.num_tiles(), 2);
-        assert_eq!(w.num_atoms(), 9 - 2);
-        assert_eq!(w.atom_base(), 2);
-        assert_eq!(w.tile_atoms(0), 0..3);
-        assert_eq!(w.tile_atoms(1), 3..7);
-        assert_eq!(w.global_row(1), 3);
-        assert!(w.is_contiguous(), "rebased span must stay merge-path-able");
-        assert!(w.validate());
-    }
-
-    #[test]
-    fn row_span_tiles_match_the_equivalent_slice() {
-        let counts = [3usize, 0, 4, 1, 2, 0, 5];
-        let full = CountedTiles::from_counts(counts);
-        let span = RowSpanTiles::new(full.offsets(), 1..5);
-        let rebased: Vec<usize> = full.offsets()[1..=5]
-            .iter()
-            .map(|&o| o - full.offsets()[1])
-            .collect();
-        let slice = SliceTiles::new(&rebased);
-        assert_eq!(span.num_tiles(), slice.num_tiles());
-        assert_eq!(span.num_atoms(), slice.num_atoms());
-        for t in 0..span.num_tiles() {
-            assert_eq!(span.tile_atoms(t), slice.tile_atoms(t));
-        }
-    }
-
-    #[test]
-    fn empty_and_full_row_spans() {
-        let offs = [0usize, 2, 2, 5];
-        let empty = RowSpanTiles::new(&offs, 1..1);
-        assert_eq!(empty.num_tiles(), 0);
-        assert_eq!(empty.num_atoms(), 0);
-        assert!(empty.validate());
-        let full = RowSpanTiles::new(&offs, 0..3);
-        assert_eq!(full.num_atoms(), 5);
-        assert_eq!(full.atom_base(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn row_span_rejects_overrun() {
-        let offs = [0usize, 2, 2, 5];
-        let _ = RowSpanTiles::new(&offs, 0..4);
     }
 
     #[test]

@@ -1,12 +1,14 @@
 //! Format-generic kernel execution (paper §5.2.1): the same fold, any
 //! storage format.
 //!
-//! The engine already runs over any [`TileSet`](loops::work::TileSet);
-//! this module adds the kernel half of format polymorphism — a single
-//! [`TileExec`] body written against [`MatrixView`] that serves CSR,
-//! canonical COO, ELL, and the hybrid ELL+COO split, plus the
-//! [`PreparedOperand`] conversion wrapper a serving runtime caches and
-//! amortizes.
+//! The engine already runs over any [`TileSet`](loops::work::TileSet),
+//! and SpMV and SpMM are each written once against
+//! [`MatrixView`](loops::view::MatrixView) ([`mod@crate::spmv`],
+//! [`crate::spmm`]). This module is the per-format `match` that pairs a
+//! format's view with its tile set — CSR, canonical COO, ELL, and the
+//! hybrid ELL+COO split — plus the [`PreparedOperand`] conversion
+//! wrapper a serving runtime caches and amortizes (free for CSR, which
+//! serves from the caller's matrix).
 //!
 //! **Bitwise contract.** For every supported (schedule × format) cell the
 //! result vector is bit-for-bit equal to the CSR path under the same
@@ -38,13 +40,13 @@
 //! servable here: its tiles are columns, so a row fold would need a
 //! scatter with a different accumulation order.
 
-use crate::spmm::SpmmRun;
-use crate::spmv::{SpmvRun, DEFAULT_BLOCK};
-use loops::adapters::{CooTiles, EllTiles, HybridSlabTiles};
-use loops::dispatch::{span_atoms, BalancedLaunch, KernelPlan, TileExec};
-use loops::schedule::{ScheduleKind, TileSpan};
-use loops::view::MatrixView;
-use simt::{CostModel, GlobalMem, GpuSpec, LaneCtx, LaunchConfig};
+use crate::spmm::{launch_spmm, SpmmRun};
+use crate::spmv::{check_inner, launch_spmv, Launch, SpmvRun, DEFAULT_BLOCK};
+use loops::adapters::{CooTiles, CsrTiles, EllTiles, HybridSlabTiles};
+use crate::plan::prepare_over;
+use loops::dispatch::KernelPlan;
+use loops::schedule::ScheduleKind;
+use simt::{CostModel, GlobalMem, GpuSpec, LaunchConfig};
 use sparse::{convert, Coo, Csc, Csr, DenseMatrix, Ell, FormatKind, Hybrid};
 
 /// Modeled conversion cost per element touched, deterministic (no wall
@@ -126,6 +128,13 @@ impl PreparedOperand {
         self.convert_ms
     }
 
+    /// Whether this operand holds a converted copy of the matrix. CSR
+    /// serves from the caller's matrix and holds none, so there is
+    /// nothing to memoize.
+    pub fn materialized(&self) -> bool {
+        !matches!(self.data, OperandData::Csr)
+    }
+
     /// The schedule that will actually run for this operand (non-CSR
     /// formats coerce, see [`coerce_for_format`]).
     pub fn effective_schedule(&self, kind: ScheduleKind) -> ScheduleKind {
@@ -160,82 +169,6 @@ pub fn coerce_for_format(format: FormatKind, kind: ScheduleKind) -> ScheduleKind
     }
 }
 
-/// SpMV written once against [`MatrixView`]: identical fold (and
-/// identical charges) to the CSR-specific body, with padded slots
-/// skipped.
-struct ViewSpmvExec<'a, M: MatrixView> {
-    m: &'a M,
-    x: &'a [f32],
-    y: GlobalMem<'a, f32>,
-}
-
-impl<M: MatrixView> TileExec for ViewSpmvExec<'_, M> {
-    const COOPERATIVE_REDUCE: bool = true;
-
-    #[inline(always)]
-    fn span(&self, lane: &LaneCtx<'_>, span: &TileSpan) {
-        let mut sum = 0.0f32;
-        for nz in span_atoms(span, lane) {
-            if let Some((c, v)) = self.m.entry(nz) {
-                sum += v * self.x[c as usize];
-            }
-        }
-        if span.complete {
-            self.y.store(span.tile, sum);
-            lane.write_bytes(4);
-        } else if !span.atoms.is_empty() {
-            self.y.fetch_add(span.tile, sum);
-            lane.charge_atomic();
-        }
-    }
-
-    #[inline]
-    fn atom_value(&self, _lane: &LaneCtx<'_>, _tile: usize, nz: usize) -> f32 {
-        self.m
-            .entry(nz)
-            .map_or(0.0, |(c, v)| v * self.x[c as usize])
-    }
-
-    #[inline]
-    fn tile_done(&self, lane: &LaneCtx<'_>, tile: usize, sum: f32) {
-        self.y.store(tile, sum);
-        lane.write_bytes(4);
-    }
-}
-
-/// SpMM written once against [`MatrixView`]: Listing 4's column loop
-/// around the same PAD-aware fold.
-struct ViewSpmmExec<'a, M: MatrixView> {
-    m: &'a M,
-    b: &'a DenseMatrix<f32>,
-    c: GlobalMem<'a, f32>,
-    n_cols: usize,
-}
-
-impl<M: MatrixView> TileExec for ViewSpmmExec<'_, M> {
-    const COOPERATIVE_REDUCE: bool = false;
-
-    #[inline]
-    fn span(&self, lane: &LaneCtx<'_>, span: &TileSpan) {
-        for col in loops::ranges::step_range(0, self.n_cols, 1) {
-            let mut sum = 0.0f32;
-            for nz in span_atoms(span, lane) {
-                if let Some((ci, v)) = self.m.entry(nz) {
-                    sum += v * self.b.get(ci as usize, col);
-                }
-            }
-            let out = span.tile * self.n_cols + col;
-            if span.complete {
-                self.c.store(out, sum);
-                lane.write_bytes(4);
-            } else if !span.atoms.is_empty() {
-                self.c.fetch_add(out, sum);
-                lane.charge_atomic();
-            }
-        }
-    }
-}
-
 /// The fused hybrid SpMV: one launch of `rows + tail_nnz` threads.
 /// Threads below `rows` fold their row's constant-width slab lane and
 /// store the partial; the threads above scatter the COO tail, one entry
@@ -259,6 +192,7 @@ fn hybrid_spmv_fused(
     x: &[f32],
     block_dim: u32,
 ) -> simt::Result<SpmvRun> {
+    check_inner("x", x.len(), h.cols())?;
     let rows = h.rows();
     let width = h.width();
     let spill = h.tail_nnz();
@@ -318,8 +252,9 @@ fn hybrid_spmv_fused(
     })
 }
 
-/// Like [`scatter_tail`] but for SpMM: each tail entry contributes to
-/// every column of its output row, in column order.
+/// The hybrid SpMM's COO tail pass: one thread per tail entry (charged
+/// like the fused SpMV's tail threads), contributing to every column of
+/// its output row, in column order.
 fn scatter_tail_spmm(
     spec: &GpuSpec,
     model: &CostModel,
@@ -359,10 +294,17 @@ fn scatter_tail_spmm(
     Ok(Some(report))
 }
 
+fn csc_not_servable() -> simt::LaunchError {
+    simt::LaunchError::InvalidWork {
+        reason: "CSC serves column-major traversals, not row folds".to_owned(),
+    }
+}
+
 /// Run SpMV over a prepared operand with the given schedule. `a` is the
 /// CSR source the operand was prepared from (the CSR cell serves from it
 /// directly). Unsupported (format × schedule) combinations coerce per
-/// [`coerce_for_format`]; CSC is not servable and errors.
+/// [`coerce_for_format`]; CSC is not servable and errors, and so does an
+/// `x` whose length is not `a.cols()`.
 pub fn spmv_format(
     spec: &GpuSpec,
     model: &CostModel,
@@ -373,100 +315,7 @@ pub fn spmv_format(
     block_dim: u32,
 ) -> simt::Result<SpmvRun> {
     let kind = coerce_for_format(op.format, kind);
-    match &op.data {
-        OperandData::Csr => crate::spmv::spmv_with_model(spec, model, a, x, kind, block_dim),
-        OperandData::Coo(coo) => {
-            assert_eq!(x.len(), coo.cols(), "x must have one entry per column");
-            let work = CooTiles::try_new(coo)?;
-            let mut y = vec![0.0f32; coo.rows()];
-            let d = {
-                let exec = ViewSpmvExec {
-                    m: coo,
-                    x,
-                    y: GlobalMem::new(&mut y),
-                };
-                BalancedLaunch::new(spec, model, &work)
-                    .block_dim(block_dim)
-                    .run(kind, &exec)?
-            };
-            Ok(SpmvRun {
-                y,
-                report: d.report,
-                schedule: d.schedule,
-            })
-        }
-        OperandData::Csc(_) => Err(simt::LaunchError::InvalidWork {
-            reason: "CSC serves column-major traversals, not row folds".to_owned(),
-        }),
-        OperandData::Ell(e) => {
-            assert_eq!(x.len(), e.cols(), "x must have one entry per column");
-            let work = EllTiles::new(e);
-            let mut y = vec![0.0f32; e.rows()];
-            let d = {
-                let exec = ViewSpmvExec {
-                    m: e,
-                    x,
-                    y: GlobalMem::new(&mut y),
-                };
-                BalancedLaunch::new(spec, model, &work)
-                    .block_dim(block_dim)
-                    .run(kind, &exec)?
-            };
-            Ok(SpmvRun {
-                y,
-                report: d.report,
-                schedule: d.schedule,
-            })
-        }
-        OperandData::Hybrid(h) => {
-            assert_eq!(x.len(), h.cols(), "x must have one entry per column");
-            hybrid_spmv_fused(spec, model, h, x, block_dim)
-        }
-    }
-}
-
-/// Prepare a reusable plan for [`spmv_format_with_plan`]. CSR and COO
-/// keep every schedule's artifacts (their geometries are identical);
-/// the padded formats coerce first, so their plans are always flat-span
-/// (no merge table, no LRB bins).
-pub fn prepare_format_plan(
-    spec: &GpuSpec,
-    model: &CostModel,
-    a: &Csr<f32>,
-    op: &PreparedOperand,
-    kind: ScheduleKind,
-    block_dim: u32,
-) -> simt::Result<KernelPlan> {
-    let kind = coerce_for_format(op.format, kind);
-    match &op.data {
-        OperandData::Csr => {
-            let work = loops::adapters::CsrTiles::new(a);
-            BalancedLaunch::new(spec, model, &work)
-                .block_dim(block_dim)
-                .prepare(kind)
-        }
-        OperandData::Coo(coo) => {
-            let work = CooTiles::try_new(coo)?;
-            BalancedLaunch::new(spec, model, &work)
-                .block_dim(block_dim)
-                .prepare(kind)
-        }
-        OperandData::Csc(_) => Err(simt::LaunchError::InvalidWork {
-            reason: "CSC serves column-major traversals, not row folds".to_owned(),
-        }),
-        OperandData::Ell(e) => {
-            let work = EllTiles::new(e);
-            BalancedLaunch::new(spec, model, &work)
-                .block_dim(block_dim)
-                .prepare(kind)
-        }
-        OperandData::Hybrid(h) => {
-            let work = HybridSlabTiles::new(h);
-            BalancedLaunch::new(spec, model, &work)
-                .block_dim(block_dim)
-                .prepare(kind)
-        }
-    }
+    spmv_on(spec, model, a, op, x, Launch::Cold(kind, block_dim))
 }
 
 /// Run SpMV over a prepared operand under a prepared plan — bitwise
@@ -479,62 +328,57 @@ pub fn spmv_format_with_plan(
     x: &[f32],
     plan: &KernelPlan,
 ) -> simt::Result<SpmvRun> {
+    spmv_on(spec, model, a, op, x, Launch::Planned(plan))
+}
+
+fn spmv_on(
+    spec: &GpuSpec,
+    model: &CostModel,
+    a: &Csr<f32>,
+    op: &PreparedOperand,
+    x: &[f32],
+    how: Launch<'_>,
+) -> simt::Result<SpmvRun> {
     match &op.data {
-        OperandData::Csr => crate::spmv::spmv_with_plan(spec, model, a, x, plan),
+        OperandData::Csr => launch_spmv(spec, model, a, &CsrTiles::new(a), x, how),
+        OperandData::Coo(coo) => launch_spmv(spec, model, coo, &CooTiles::try_new(coo)?, x, how),
+        OperandData::Csc(_) => Err(csc_not_servable()),
+        OperandData::Ell(e) => launch_spmv(spec, model, e, &EllTiles::new(e), x, how),
+        OperandData::Hybrid(h) => hybrid_spmv_fused(spec, model, h, x, how.block_dim()),
+    }
+}
+
+/// Prepare a reusable plan for [`spmv_format_with_plan`] or
+/// [`spmm_format_with_plan`]. CSR and COO keep every schedule's
+/// artifacts (their geometries are identical); the padded formats coerce
+/// first, so their plans are always flat-span (no merge table, no LRB
+/// bins).
+pub fn prepare_format_plan(
+    spec: &GpuSpec,
+    model: &CostModel,
+    a: &Csr<f32>,
+    op: &PreparedOperand,
+    kind: ScheduleKind,
+    block_dim: u32,
+) -> simt::Result<KernelPlan> {
+    let kind = coerce_for_format(op.format, kind);
+    match &op.data {
+        OperandData::Csr => crate::plan::prepare(spec, model, a, kind, block_dim),
         OperandData::Coo(coo) => {
-            assert_eq!(x.len(), coo.cols(), "x must have one entry per column");
-            let work = CooTiles::try_new(coo)?;
-            let mut y = vec![0.0f32; coo.rows()];
-            let d = {
-                let exec = ViewSpmvExec {
-                    m: coo,
-                    x,
-                    y: GlobalMem::new(&mut y),
-                };
-                BalancedLaunch::new(spec, model, &work)
-                    .block_dim(plan.block_dim)
-                    .run_planned(plan, &exec)?
-            };
-            Ok(SpmvRun {
-                y,
-                report: d.report,
-                schedule: d.schedule,
-            })
+            prepare_over(spec, model, &CooTiles::try_new(coo)?, kind, block_dim)
         }
-        OperandData::Csc(_) => Err(simt::LaunchError::InvalidWork {
-            reason: "CSC serves column-major traversals, not row folds".to_owned(),
-        }),
-        OperandData::Ell(e) => {
-            assert_eq!(x.len(), e.cols(), "x must have one entry per column");
-            let work = EllTiles::new(e);
-            let mut y = vec![0.0f32; e.rows()];
-            let d = {
-                let exec = ViewSpmvExec {
-                    m: e,
-                    x,
-                    y: GlobalMem::new(&mut y),
-                };
-                BalancedLaunch::new(spec, model, &work)
-                    .block_dim(plan.block_dim)
-                    .run_planned(plan, &exec)?
-            };
-            Ok(SpmvRun {
-                y,
-                report: d.report,
-                schedule: d.schedule,
-            })
-        }
+        OperandData::Csc(_) => Err(csc_not_servable()),
+        OperandData::Ell(e) => prepare_over(spec, model, &EllTiles::new(e), kind, block_dim),
         OperandData::Hybrid(h) => {
-            assert_eq!(x.len(), h.cols(), "x must have one entry per column");
-            hybrid_spmv_fused(spec, model, h, x, plan.block_dim)
+            prepare_over(spec, model, &HybridSlabTiles::new(h), kind, block_dim)
         }
     }
 }
 
-/// Run SpMM over a prepared operand. CSR keeps its merge-path/thread-
-/// mapped pair; COO shares it (identical geometry); the padded formats
-/// run thread-mapped with the hybrid tail scattered per entry per
-/// column.
+/// Run SpMM over a prepared operand. Every format runs SpMM's
+/// merge-path/thread-mapped pair ([`crate::spmm::coerce`]); COO shares
+/// CSR's geometry, the padded formats coerce to thread-mapped, and the
+/// hybrid tail is scattered per entry per column.
 pub fn spmm_format(
     spec: &GpuSpec,
     model: &CostModel,
@@ -543,82 +387,43 @@ pub fn spmm_format(
     b: &DenseMatrix<f32>,
     kind: ScheduleKind,
 ) -> simt::Result<SpmmRun> {
-    // SpMM's own coercion (merge-path or thread-mapped), then the
-    // format's (padded formats drop merge-path too).
-    let kind = coerce_for_format(
-        op.format,
-        if kind == ScheduleKind::MergePath {
-            kind
-        } else {
-            ScheduleKind::ThreadMapped
-        },
-    );
+    let kind = coerce_for_format(op.format, crate::spmm::coerce(kind));
+    spmm_on(spec, model, a, op, b, Launch::Cold(kind, DEFAULT_BLOCK))
+}
+
+/// Run SpMM over a prepared operand under a prepared plan — bitwise
+/// identical to [`spmm_format`] with the plan's schedule.
+pub fn spmm_format_with_plan(
+    spec: &GpuSpec,
+    model: &CostModel,
+    a: &Csr<f32>,
+    op: &PreparedOperand,
+    b: &DenseMatrix<f32>,
+    plan: &KernelPlan,
+) -> simt::Result<SpmmRun> {
+    spmm_on(spec, model, a, op, b, Launch::Planned(plan))
+}
+
+fn spmm_on(
+    spec: &GpuSpec,
+    model: &CostModel,
+    a: &Csr<f32>,
+    op: &PreparedOperand,
+    b: &DenseMatrix<f32>,
+    how: Launch<'_>,
+) -> simt::Result<SpmmRun> {
     match &op.data {
-        OperandData::Csr => crate::spmm::spmm_with_model(spec, model, a, b, kind),
-        OperandData::Coo(coo) => {
-            assert_eq!(coo.cols(), b.rows(), "inner dimensions must agree");
-            let work = CooTiles::try_new(coo)?;
-            let mut c = DenseMatrix::zeros(coo.rows(), b.cols());
-            let d = {
-                let exec = ViewSpmmExec {
-                    m: coo,
-                    b,
-                    c: GlobalMem::new(c.as_mut_slice()),
-                    n_cols: b.cols(),
-                };
-                BalancedLaunch::new(spec, model, &work).run(kind, &exec)?
-            };
-            Ok(SpmmRun {
-                c,
-                report: d.report,
-                schedule: d.schedule,
-            })
-        }
-        OperandData::Csc(_) => Err(simt::LaunchError::InvalidWork {
-            reason: "CSC serves column-major traversals, not row folds".to_owned(),
-        }),
-        OperandData::Ell(e) => {
-            assert_eq!(e.cols(), b.rows(), "inner dimensions must agree");
-            let work = EllTiles::new(e);
-            let mut c = DenseMatrix::zeros(e.rows(), b.cols());
-            let d = {
-                let exec = ViewSpmmExec {
-                    m: e,
-                    b,
-                    c: GlobalMem::new(c.as_mut_slice()),
-                    n_cols: b.cols(),
-                };
-                BalancedLaunch::new(spec, model, &work).run(kind, &exec)?
-            };
-            Ok(SpmmRun {
-                c,
-                report: d.report,
-                schedule: d.schedule,
-            })
-        }
+        OperandData::Csr => launch_spmm(spec, model, a, &CsrTiles::new(a), b, how),
+        OperandData::Coo(coo) => launch_spmm(spec, model, coo, &CooTiles::try_new(coo)?, b, how),
+        OperandData::Csc(_) => Err(csc_not_servable()),
+        OperandData::Ell(e) => launch_spmm(spec, model, e, &EllTiles::new(e), b, how),
         OperandData::Hybrid(h) => {
-            assert_eq!(h.cols(), b.rows(), "inner dimensions must agree");
-            let work = HybridSlabTiles::new(h);
-            let mut c = DenseMatrix::zeros(h.rows(), b.cols());
-            let mut d = {
-                let exec = ViewSpmmExec {
-                    m: h,
-                    b,
-                    c: GlobalMem::new(c.as_mut_slice()),
-                    n_cols: b.cols(),
-                };
-                BalancedLaunch::new(spec, model, &work).run(kind, &exec)?
-            };
-            if let Some(r) =
-                scatter_tail_spmm(spec, model, h.tail(), b, c.as_mut_slice(), DEFAULT_BLOCK)?
-            {
-                d.report.accumulate(&r);
+            let mut run = launch_spmm(spec, model, h, &HybridSlabTiles::new(h), b, how)?;
+            let c = run.c.as_mut_slice();
+            if let Some(r) = scatter_tail_spmm(spec, model, h.tail(), b, c, DEFAULT_BLOCK)? {
+                run.report.accumulate(&r);
             }
-            Ok(SpmmRun {
-                c,
-                report: d.report,
-                schedule: d.schedule,
-            })
+            Ok(run)
         }
     }
 }
@@ -787,6 +592,35 @@ mod tests {
             let warm = spmv_format_with_plan(&spec, &model, &a, &op, &x, &plan).unwrap();
             assert_eq!(bits(&cold.y), bits(&warm.y), "{format} {kind}");
             assert_eq!(cold.schedule, warm.schedule, "{format} {kind}");
+        }
+        // SpMM replays a plan on any operand too. A flat-span plan runs
+        // exactly the cold launch, so the whole report must match; a
+        // merge-path plan skips the in-kernel searches, so only the
+        // output must.
+        let b = DenseMatrix::from_fn(400, 3, |r, c| ((r * 5 + c) as f32).cos());
+        let strip = |r: &simt::LaunchReport| simt::LaunchReport {
+            host_wall_ms: 0.0,
+            ..r.clone()
+        };
+        for (format, kind) in [
+            (FormatKind::Coo, ScheduleKind::ThreadMapped),
+            (FormatKind::Ell, ScheduleKind::ThreadMapped),
+            (FormatKind::Hybrid, ScheduleKind::ThreadMapped),
+            (FormatKind::Coo, ScheduleKind::MergePath),
+        ] {
+            let op = PreparedOperand::prepare(&a, format).unwrap();
+            let plan = prepare_format_plan(&spec, &model, &a, &op, kind, DEFAULT_BLOCK).unwrap();
+            let cold = spmm_format(&spec, &model, &a, &op, &b, kind).unwrap();
+            let warm = spmm_format_with_plan(&spec, &model, &a, &op, &b, &plan).unwrap();
+            assert_eq!(
+                bits(cold.c.as_slice()),
+                bits(warm.c.as_slice()),
+                "{format} {kind}"
+            );
+            assert_eq!(cold.schedule, warm.schedule, "{format} {kind}");
+            if kind == ScheduleKind::ThreadMapped {
+                assert_eq!(strip(&cold.report), strip(&warm.report), "{format} {kind}");
+            }
         }
     }
 

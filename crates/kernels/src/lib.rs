@@ -6,12 +6,12 @@
 //! provided tiles/atoms — so switching schedules never touches the math:
 //!
 //! * [`mod@spmv`] — sparse matrix × dense vector under *every* schedule
-//!   (Listing 3), the paper's benchmark application;
+//!   (Listing 3), the paper's benchmark application, written once against
+//!   [`loops::view::MatrixView`];
 //! * [`spmm`] — sparse matrix × dense matrix: Listing 4's "one extra loop"
 //!   around the same SpMV body;
-//! * [`formats`] — the same kernels written once against
-//!   [`loops::view::MatrixView`] and served from CSR/COO/ELL/hybrid, with
-//!   the conversion wrapper the runtime caches (§5.2.1's format
+//! * [`formats`] — both kernels served from CSR/COO/ELL/hybrid, with the
+//!   conversion wrapper the runtime caches (§5.2.1's format
 //!   polymorphism);
 //! * [`spgemm`] — Gustavson sparse × sparse with the two-kernel
 //!   count-then-fill structure §5.3 sketches;
@@ -51,5 +51,4 @@ pub mod traversal;
 
 pub use formats::PreparedOperand;
 pub use graph::{Frontier, Graph};
-pub use plan::SpmvPlan;
 pub use spmv::{spmv, SpmvRun};

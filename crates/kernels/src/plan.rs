@@ -2,31 +2,24 @@
 //! matrix.
 //!
 //! The plan type itself is the engine's kernel-agnostic
-//! [`loops::dispatch::KernelPlan`] (re-exported here as [`SpmvPlan`] for
-//! the benchmark code that grew up against SpMV): schedule choice, block
-//! size, and the pattern-only setup artifacts (merge-path partition
-//! table, LRB bins). This module keeps the CSR-flavoured conveniences —
-//! [`prepare`] from a matrix, [`prepare_auto`] via the paper's §6.2
-//! heuristic, and [`run`] to replay a plan against a vector.
+//! [`KernelPlan`]: schedule choice, block size, and the pattern-only
+//! setup artifacts (merge-path partition table, LRB bins). This module
+//! keeps the CSR conveniences — [`prepare`] from a matrix and [`run`] to
+//! replay a plan against a vector; [`crate::formats::prepare_format_plan`]
+//! prepares the same plan for any storage format.
 //!
-//! [`spmv::spmv_with_plan`] replays a plan against any `x`. Results are
-//! **bitwise identical** to the cold path for the same schedule: artifacts
-//! only change where work is *found*, never the order in which a row's
-//! products are accumulated.
+//! Results are **bitwise identical** to the cold path for the same
+//! schedule: artifacts only change where work is *found*, never the
+//! order in which a row's products are accumulated.
 
 use loops::adapters::CsrTiles;
-use loops::dispatch::BalancedLaunch;
-use loops::heuristic::Heuristic;
+use loops::dispatch::{BalancedLaunch, KernelPlan};
 use loops::schedule::ScheduleKind;
+use loops::work::TileSet;
 use simt::{CostModel, GpuSpec};
 use sparse::Csr;
 
-use crate::spmv::{self, SpmvRun, DEFAULT_BLOCK};
-
-/// A prepared, pattern-specific execution plan (see
-/// [`loops::dispatch::KernelPlan`]). The alias survives from when plans
-/// were SpMV-only; the same type now serves every engine kernel.
-pub type SpmvPlan = loops::dispatch::KernelPlan;
+use crate::spmv::{self, SpmvRun};
 
 /// Prepare a plan for a fixed schedule.
 pub fn prepare(
@@ -35,22 +28,21 @@ pub fn prepare(
     a: &Csr<f32>,
     kind: ScheduleKind,
     block_dim: u32,
-) -> simt::Result<SpmvPlan> {
-    let work = CsrTiles::new(a);
-    BalancedLaunch::new(spec, model, &work)
-        .block_dim(block_dim)
-        .prepare(kind)
+) -> simt::Result<KernelPlan> {
+    prepare_over(spec, model, &CsrTiles::new(a), kind, block_dim)
 }
 
-/// Prepare a plan with the schedule chosen by the paper's heuristic.
-pub fn prepare_auto(
+/// [`prepare`] over any format's tile set.
+pub(crate) fn prepare_over<W: TileSet>(
     spec: &GpuSpec,
     model: &CostModel,
-    a: &Csr<f32>,
-    heuristic: &Heuristic,
-) -> simt::Result<SpmvPlan> {
-    let kind = heuristic.select(a.rows(), a.cols(), a.nnz());
-    prepare(spec, model, a, kind, DEFAULT_BLOCK)
+    work: &W,
+    kind: ScheduleKind,
+    block_dim: u32,
+) -> simt::Result<KernelPlan> {
+    BalancedLaunch::new(spec, model, work)
+        .block_dim(block_dim)
+        .prepare(kind)
 }
 
 /// Convenience: run a prepared plan (see [`spmv::spmv_with_plan`]).
@@ -59,7 +51,7 @@ pub fn run(
     model: &CostModel,
     a: &Csr<f32>,
     x: &[f32],
-    plan: &SpmvPlan,
+    plan: &KernelPlan,
 ) -> simt::Result<SpmvRun> {
     spmv::spmv_with_plan(spec, model, a, x, plan)
 }
@@ -67,7 +59,8 @@ pub fn run(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spmv::spmv_with_model;
+    use crate::spmv::{spmv_with_model, DEFAULT_BLOCK};
+    use loops::heuristic::Heuristic;
 
     fn bits(y: &[f32]) -> Vec<u32> {
         y.iter().map(|v| v.to_bits()).collect()
@@ -150,12 +143,16 @@ mod tests {
         let spec = GpuSpec::v100();
         let model = CostModel::standard();
         let h = Heuristic::paper();
+        let auto = |a: &Csr<f32>| {
+            let kind = h.select(a.rows(), a.cols(), a.nnz());
+            prepare(&spec, &model, a, kind, DEFAULT_BLOCK).unwrap()
+        };
         let small = sparse::gen::uniform(100, 100, 800, 25);
-        let plan = prepare_auto(&spec, &model, &small, &h).unwrap();
+        let plan = auto(&small);
         assert_eq!(plan.schedule, ScheduleKind::GroupMapped(32));
         assert!(plan.merge_starts.is_none() && plan.lrb.is_none());
         let big = sparse::gen::uniform(2_000, 2_000, 40_000, 26);
-        let plan = prepare_auto(&spec, &model, &big, &h).unwrap();
+        let plan = auto(&big);
         assert_eq!(plan.schedule, ScheduleKind::MergePath);
         assert!(plan.merge_starts.is_some());
         assert!(plan.artifact_bytes() > 0);

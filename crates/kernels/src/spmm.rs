@@ -4,13 +4,17 @@
 //! one loop over the columns of `B` — and because the schedule is
 //! decoupled, the *same* merge-path/thread-mapped machinery balances it
 //! (the rewrite Yang et al. had to do by hand, for free). The body is a
-//! flat-span [`TileExec`] dispatched through the engine, so SpMM also
+//! flat-span [`TileExec`] over [`MatrixView`] dispatched through the
+//! engine, so SpMM serves every storage format ([`crate::formats`]) and
 //! inherits plan-cached warm launches ([`spmm_with_plan`]).
 
+use crate::spmv::{check_inner, Launch, DEFAULT_BLOCK};
 use loops::adapters::CsrTiles;
-use loops::dispatch::{span_atoms, BalancedLaunch, KernelPlan, TileExec};
+use loops::dispatch::{span_atoms, KernelPlan, TileExec};
 use loops::ranges::step_range;
 use loops::schedule::{ScheduleKind, TileSpan};
+use loops::view::MatrixView;
+use loops::work::TileSet;
 use simt::{CostModel, GlobalMem, GpuSpec, LaneCtx, LaunchReport};
 use sparse::{Csr, DenseMatrix};
 
@@ -27,25 +31,27 @@ pub struct SpmmRun {
 }
 
 /// Listing 4's body: per span, loop over `B`'s columns; per column,
-/// accumulate the span's products. Complete tiles store directly;
-/// partial merge-path tiles combine through `atomicAdd`.
-struct SpmmExec<'a> {
-    values: &'a [f32],
-    col_indices: &'a [u32],
+/// fold the span's stored entries (padded slots skipped). Complete tiles
+/// store directly; partial merge-path tiles combine through `atomicAdd`.
+struct ViewSpmmExec<'a, M: MatrixView> {
+    m: &'a M,
     b: &'a DenseMatrix<f32>,
     c: GlobalMem<'a, f32>,
     n_cols: usize,
 }
 
-impl TileExec for SpmmExec<'_> {
+impl<M: MatrixView> TileExec for ViewSpmmExec<'_, M> {
     const COOPERATIVE_REDUCE: bool = false;
 
+    #[inline]
     fn span(&self, lane: &LaneCtx<'_>, span: &TileSpan) {
         // Listing 4: the new loop over B's columns.
         for col in step_range(0, self.n_cols, 1) {
             let mut sum = 0.0f32;
             for nz in span_atoms(span, lane) {
-                sum += self.values[nz] * self.b.get(self.col_indices[nz] as usize, col);
+                if let Some((ci, v)) = self.m.entry(nz) {
+                    sum += v * self.b.get(ci as usize, col);
+                }
             }
             let out = span.tile * self.n_cols + col;
             if span.complete {
@@ -59,10 +65,41 @@ impl TileExec for SpmmExec<'_> {
     }
 }
 
-/// SpMM supports the flat-span schedules; the cooperative schedules
-/// reduce a single scalar per tile and are exposed through SpMV, so
-/// anything else falls back to thread-mapped (Listing 4's default).
-fn coerce(kind: ScheduleKind) -> ScheduleKind {
+/// SpMM of any format `m` over its tile set `work` — the one launch every
+/// SpMM entry point goes through.
+pub(crate) fn launch_spmm<M: MatrixView, W: TileSet>(
+    spec: &GpuSpec,
+    model: &CostModel,
+    m: &M,
+    work: &W,
+    b: &DenseMatrix<f32>,
+    how: Launch<'_>,
+) -> simt::Result<SpmmRun> {
+    check_inner("B", b.rows(), m.cols())?;
+    let mut c = DenseMatrix::zeros(m.rows(), b.cols());
+    let d = how.run(
+        spec,
+        model,
+        work,
+        &ViewSpmmExec {
+            m,
+            b,
+            c: GlobalMem::new(c.as_mut_slice()),
+            n_cols: b.cols(),
+        },
+    )?;
+    Ok(SpmmRun {
+        c,
+        report: d.report,
+        schedule: d.schedule,
+    })
+}
+
+/// The schedule SpMM runs for `kind`. SpMM supports the flat-span
+/// schedules; the cooperative schedules reduce a single scalar per tile
+/// and are exposed through SpMV, so anything but merge-path falls back
+/// to thread-mapped (Listing 4's default).
+pub fn coerce(kind: ScheduleKind) -> ScheduleKind {
     if kind == ScheduleKind::MergePath {
         kind
     } else {
@@ -81,7 +118,8 @@ pub fn spmm(
     spmm_with_model(spec, &CostModel::standard(), a, b, kind)
 }
 
-/// [`spmm`] with an explicit cost model.
+/// [`spmm`] with an explicit cost model. Errors with
+/// [`simt::LaunchError::InvalidWork`] when `b.rows() != a.cols()`.
 pub fn spmm_with_model(
     spec: &GpuSpec,
     model: &CostModel,
@@ -89,24 +127,8 @@ pub fn spmm_with_model(
     b: &DenseMatrix<f32>,
     kind: ScheduleKind,
 ) -> simt::Result<SpmmRun> {
-    assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
-    let work = CsrTiles::new(a);
-    let mut c = DenseMatrix::zeros(a.rows(), b.cols());
-    let d = {
-        let exec = SpmmExec {
-            values: a.values(),
-            col_indices: a.col_indices(),
-            b,
-            c: GlobalMem::new(c.as_mut_slice()),
-            n_cols: b.cols(),
-        };
-        BalancedLaunch::new(spec, model, &work).run(coerce(kind), &exec)?
-    };
-    Ok(SpmmRun {
-        c,
-        report: d.report,
-        schedule: d.schedule,
-    })
+    let how = Launch::Cold(coerce(kind), DEFAULT_BLOCK);
+    launch_spmm(spec, model, a, &CsrTiles::new(a), b, how)
 }
 
 /// Prepare a reusable SpMM plan for `a` (schedule choice + merge-path
@@ -119,8 +141,7 @@ pub fn prepare(
     a: &Csr<f32>,
     kind: ScheduleKind,
 ) -> simt::Result<KernelPlan> {
-    let work = CsrTiles::new(a);
-    BalancedLaunch::new(spec, model, &work).prepare(coerce(kind))
+    crate::plan::prepare(spec, model, a, coerce(kind), DEFAULT_BLOCK)
 }
 
 /// Run SpMM under a prepared plan. Bitwise identical to [`spmm`] with
@@ -133,26 +154,7 @@ pub fn spmm_with_plan(
     b: &DenseMatrix<f32>,
     plan: &KernelPlan,
 ) -> simt::Result<SpmmRun> {
-    assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
-    let work = CsrTiles::new(a);
-    let mut c = DenseMatrix::zeros(a.rows(), b.cols());
-    let d = {
-        let exec = SpmmExec {
-            values: a.values(),
-            col_indices: a.col_indices(),
-            b,
-            c: GlobalMem::new(c.as_mut_slice()),
-            n_cols: b.cols(),
-        };
-        BalancedLaunch::new(spec, model, &work)
-            .block_dim(plan.block_dim)
-            .run_planned(plan, &exec)?
-    };
-    Ok(SpmmRun {
-        c,
-        report: d.report,
-        schedule: d.schedule,
-    })
+    launch_spmm(spec, model, a, &CsrTiles::new(a), b, Launch::Planned(plan))
 }
 
 #[cfg(test)]
@@ -235,10 +237,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "inner dimensions")]
-    fn dimension_mismatch_panics() {
+    fn dimension_mismatch_is_an_error() {
         let a = sparse::gen::uniform(10, 10, 20, 1);
         let b = DenseMatrix::<f32>::zeros(11, 2);
-        let _ = spmm(&GpuSpec::test_tiny(), &a, &b, ScheduleKind::ThreadMapped);
+        let err = spmm(&GpuSpec::test_tiny(), &a, &b, ScheduleKind::ThreadMapped).unwrap_err();
+        assert!(matches!(err, simt::LaunchError::InvalidWork { .. }));
     }
 }

@@ -1,17 +1,21 @@
 //! Load-balanced SpMV — the paper's benchmark application (Listing 3).
 //!
-//! `y = A·x` with the computation written **once**, as a
-//! [`TileExec`], and every schedule provided by the engine
+//! `y = A·x` with the computation written **once**, as a [`TileExec`]
+//! over [`MatrixView`], and every schedule provided by the engine
 //! ([`loops::dispatch::BalancedLaunch`]) — the "single enum identifier"
-//! switch of §6.2 with zero per-kernel schedule code. Every variant runs
-//! on the simulator, charges the framework's range overheads, and
-//! returns both the result vector and the launch's timing report.
+//! switch of §6.2 with zero per-kernel schedule code. The same body serves
+//! CSR (the entry points here) and every other storage format
+//! ([`crate::formats`]); every variant runs on the simulator, charges the
+//! framework's range overheads, and returns both the result vector and the
+//! launch's timing report.
 
 use loops::adapters::CsrTiles;
-use loops::dispatch::{span_atoms, BalancedLaunch, TileExec};
+use loops::dispatch::{span_atoms, BalancedLaunch, Dispatch, KernelPlan, TileExec};
 pub use loops::dispatch::{DEFAULT_BLOCK, MERGE_ITEMS_PER_THREAD};
 use loops::schedule::{ScheduleKind, TileSpan};
-use simt::{CostModel, GlobalMem, GpuSpec, LaneCtx, LaunchConfig, LaunchReport};
+use loops::view::MatrixView;
+use loops::work::TileSet;
+use simt::{CostModel, GlobalMem, GpuSpec, LaneCtx, LaunchReport};
 use sparse::Csr;
 
 /// Result of one simulated SpMV.
@@ -25,27 +29,28 @@ pub struct SpmvRun {
     pub schedule: ScheduleKind,
 }
 
-/// The SpMV computation, written once for all schedules: a flat span
-/// accumulates locally and either stores (complete tile) or combines
-/// through `atomicAdd` (partial merge-path tile — the framework-level
-/// equivalent of CUB's carry-out/fixup pass); cooperative schedules
-/// compute one product per atom and store each tile's segment-reduced
-/// sum exactly once.
-struct SpmvExec<'a> {
-    values: &'a [f32],
-    col_indices: &'a [u32],
+/// The SpMV computation, written once for all schedules and formats: a
+/// flat span folds its stored entries (padded slots skipped) and either
+/// stores (complete tile) or combines through `atomicAdd` (partial
+/// merge-path tile — the framework-level equivalent of CUB's
+/// carry-out/fixup pass); cooperative schedules compute one product per
+/// atom and store each tile's segment-reduced sum exactly once.
+struct ViewSpmvExec<'a, M: MatrixView> {
+    m: &'a M,
     x: &'a [f32],
     y: GlobalMem<'a, f32>,
 }
 
-impl TileExec for SpmvExec<'_> {
+impl<M: MatrixView> TileExec for ViewSpmvExec<'_, M> {
     const COOPERATIVE_REDUCE: bool = true;
 
     #[inline(always)]
     fn span(&self, lane: &LaneCtx<'_>, span: &TileSpan) {
         let mut sum = 0.0f32;
         for nz in span_atoms(span, lane) {
-            sum += self.values[nz] * self.x[self.col_indices[nz] as usize];
+            if let Some((c, v)) = self.m.entry(nz) {
+                sum += v * self.x[c as usize];
+            }
         }
         if span.complete {
             self.y.store(span.tile, sum);
@@ -58,7 +63,9 @@ impl TileExec for SpmvExec<'_> {
 
     #[inline]
     fn atom_value(&self, _lane: &LaneCtx<'_>, _tile: usize, nz: usize) -> f32 {
-        self.values[nz] * self.x[self.col_indices[nz] as usize]
+        self.m
+            .entry(nz)
+            .map_or(0.0, |(c, v)| v * self.x[c as usize])
     }
 
     #[inline]
@@ -66,6 +73,81 @@ impl TileExec for SpmvExec<'_> {
         self.y.store(tile, sum);
         lane.write_bytes(4);
     }
+}
+
+/// How a launch finds its schedule: cold, from a schedule kind and block
+/// size, or warm, from a prepared [`KernelPlan`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Launch<'p> {
+    Cold(ScheduleKind, u32),
+    Planned(&'p KernelPlan),
+}
+
+impl Launch<'_> {
+    /// Threads per block (before the engine's device clamp).
+    pub(crate) fn block_dim(self) -> u32 {
+        match self {
+            Launch::Cold(_, block_dim) => block_dim,
+            Launch::Planned(plan) => plan.block_dim,
+        }
+    }
+
+    /// Run `exec` over `work` under this launch.
+    pub(crate) fn run<W: TileSet, E: TileExec>(
+        self,
+        spec: &GpuSpec,
+        model: &CostModel,
+        work: &W,
+        exec: &E,
+    ) -> simt::Result<Dispatch> {
+        let launch = BalancedLaunch::new(spec, model, work).block_dim(self.block_dim());
+        match self {
+            Launch::Cold(kind, _) => launch.run(kind, exec),
+            Launch::Planned(plan) => launch.run_planned(plan, exec),
+        }
+    }
+}
+
+/// `Err(InvalidWork)` unless a dense operand's inner dimension `got`
+/// (`x`'s length, `B`'s rows) equals the sparse matrix's column count —
+/// the check every SpMV/SpMM launch makes before allocating its output.
+pub fn check_inner(operand: &str, got: usize, cols: usize) -> simt::Result<()> {
+    if got == cols {
+        Ok(())
+    } else {
+        Err(simt::LaunchError::InvalidWork {
+            reason: format!("{operand} has {got} inner entries, A has {cols} columns"),
+        })
+    }
+}
+
+/// SpMV of any format `m` over its tile set `work` — the one launch every
+/// SpMV entry point except the fused hybrid goes through.
+pub(crate) fn launch_spmv<M: MatrixView, W: TileSet>(
+    spec: &GpuSpec,
+    model: &CostModel,
+    m: &M,
+    work: &W,
+    x: &[f32],
+    how: Launch<'_>,
+) -> simt::Result<SpmvRun> {
+    check_inner("x", x.len(), m.cols())?;
+    let mut y = vec![0.0f32; m.rows()];
+    let d = how.run(
+        spec,
+        model,
+        work,
+        &ViewSpmvExec {
+            m,
+            x,
+            y: GlobalMem::new(&mut y),
+        },
+    )?;
+    Ok(SpmvRun {
+        y,
+        report: d.report,
+        schedule: d.schedule,
+    })
 }
 
 /// Run SpMV with the given schedule and the standard cost model.
@@ -78,7 +160,8 @@ pub fn spmv(
     spmv_with_model(spec, &CostModel::standard(), a, x, kind, DEFAULT_BLOCK)
 }
 
-/// Run SpMV with full control over cost model and block size.
+/// Run SpMV with full control over cost model and block size. Errors
+/// with [`simt::LaunchError::InvalidWork`] when `x.len() != a.cols()`.
 pub fn spmv_with_model(
     spec: &GpuSpec,
     model: &CostModel,
@@ -87,207 +170,24 @@ pub fn spmv_with_model(
     kind: ScheduleKind,
     block_dim: u32,
 ) -> simt::Result<SpmvRun> {
-    assert_eq!(x.len(), a.cols(), "x must have one entry per column");
-    let work = CsrTiles::new(a);
-    let mut y = vec![0.0f32; a.rows()];
-    let d = {
-        let exec = SpmvExec {
-            values: a.values(),
-            col_indices: a.col_indices(),
-            x,
-            y: GlobalMem::new(&mut y),
-        };
-        BalancedLaunch::new(spec, model, &work)
-            .block_dim(block_dim)
-            .run(kind, &exec)?
-    };
-    Ok(SpmvRun {
-        y,
-        report: d.report,
-        schedule: d.schedule,
-    })
+    let how = Launch::Cold(kind, block_dim);
+    launch_spmv(spec, model, a, &CsrTiles::new(a), x, how)
 }
 
-/// Run SpMV with a prepared [`plan`](crate::plan::SpmvPlan): the schedule
-/// choice and any setup artifacts (merge-path partition table, LRB bins)
-/// come from the plan, so a cached plan skips the setup work a cold launch
-/// pays. Results are bitwise identical to the cold path for the same
-/// schedule — the plan changes *when* work is found, never *what order*
-/// each row's products accumulate in.
+/// Run SpMV with a prepared [`KernelPlan`] (see [`crate::plan`]): the
+/// schedule choice and any setup artifacts (merge-path partition table,
+/// LRB bins) come from the plan, so a cached plan skips the setup work a
+/// cold launch pays. Results are bitwise identical to the cold path for
+/// the same schedule — the plan changes *when* work is found, never
+/// *what order* each row's products accumulate in.
 pub fn spmv_with_plan(
     spec: &GpuSpec,
     model: &CostModel,
     a: &Csr<f32>,
     x: &[f32],
-    plan: &crate::plan::SpmvPlan,
+    plan: &KernelPlan,
 ) -> simt::Result<SpmvRun> {
-    assert_eq!(x.len(), a.cols(), "x must have one entry per column");
-    let work = CsrTiles::new(a);
-    let mut y = vec![0.0f32; a.rows()];
-    let d = {
-        let exec = SpmvExec {
-            values: a.values(),
-            col_indices: a.col_indices(),
-            x,
-            y: GlobalMem::new(&mut y),
-        };
-        BalancedLaunch::new(spec, model, &work)
-            .block_dim(plan.block_dim)
-            .run_planned(plan, &exec)?
-    };
-    Ok(SpmvRun {
-        y,
-        report: d.report,
-        schedule: d.schedule,
-    })
-}
-
-/// SpMV restricted to a contiguous row span, without materializing a
-/// sub-matrix: the engine runs on a rebased
-/// [`RowSpanTiles`](loops::work::RowSpanTiles) view of the original row
-/// offsets, and the value/column arrays are sliced by the span's atom
-/// base. `y` has `rows.len()` entries — the shard's contiguous slice of
-/// the global result.
-///
-/// Bitwise contract: for any schedule, the result is identical to
-/// running the same schedule on `a.row_slice(rows)` (the geometries are
-/// equal, so the engine makes identical decisions). For *flat-span*
-/// schedules (thread-mapped, work-queue) it is furthermore identical to
-/// the matching slice of a full-matrix run, because each row is one
-/// complete span whose products fold left-to-right in atom order
-/// regardless of which lane owns the row. Merge-path (partition-relative
-/// partial spans combined by `atomicAdd`) and the cooperative-reduce
-/// schedules (lane partials interleaved in batch-relative order) do not
-/// decompose bitwise, so sharded execution coerces them to a flat-span
-/// schedule (see `runtime::split::decomposable`).
-pub fn spmv_rows(
-    spec: &GpuSpec,
-    model: &CostModel,
-    a: &Csr<f32>,
-    rows: std::ops::Range<usize>,
-    x: &[f32],
-    kind: ScheduleKind,
-    block_dim: u32,
-) -> simt::Result<SpmvRun> {
-    assert_eq!(x.len(), a.cols(), "x must have one entry per column");
-    assert!(rows.end <= a.rows(), "row span out of bounds");
-    let work = loops::work::RowSpanTiles::new(a.row_offsets(), rows.clone());
-    let base = work.atom_base();
-    let end = base + loops::work::TileSet::num_atoms(&work);
-    let mut y = vec![0.0f32; rows.len()];
-    let d = {
-        let exec = SpmvExec {
-            values: &a.values()[base..end],
-            col_indices: &a.col_indices()[base..end],
-            x,
-            y: GlobalMem::new(&mut y),
-        };
-        BalancedLaunch::new(spec, model, &work)
-            .block_dim(block_dim)
-            .run(kind, &exec)?
-    };
-    Ok(SpmvRun {
-        y,
-        report: d.report,
-        schedule: d.schedule,
-    })
-}
-
-/// SpMV over the ELL format: thread-mapped on a *perfectly regular* tile
-/// set (the format itself is the load balancer — §7's "already-load-
-/// balanced formats"). Padded slots are skipped at consumption time but
-/// still cost their slot's work: the price of padding, measurable against
-/// the scheduling-based answers.
-pub fn spmv_ell(
-    spec: &GpuSpec,
-    e: &sparse::Ell<f32>,
-    x: &[f32],
-) -> simt::Result<SpmvRun> {
-    use loops::adapters::EllTiles;
-
-    /// Flat-span ELL body: like CSR's but PAD-aware.
-    struct EllExec<'a> {
-        values: &'a [f32],
-        col_indices: &'a [u32],
-        x: &'a [f32],
-        y: GlobalMem<'a, f32>,
-    }
-    impl TileExec for EllExec<'_> {
-        const COOPERATIVE_REDUCE: bool = false;
-        #[inline]
-        fn span(&self, lane: &LaneCtx<'_>, span: &TileSpan) {
-            let mut sum = 0.0f32;
-            for slot in span_atoms(span, lane) {
-                let c = self.col_indices[slot];
-                if c != sparse::ell::PAD {
-                    sum += self.values[slot] * self.x[c as usize];
-                }
-            }
-            self.y.store(span.tile, sum);
-            lane.write_bytes(4);
-        }
-    }
-
-    assert_eq!(x.len(), e.cols(), "x must have one entry per column");
-    let model = CostModel::standard();
-    let work = EllTiles::new(e);
-    let mut y = vec![0.0f32; e.rows()];
-    let d = {
-        let exec = EllExec {
-            values: e.values(),
-            col_indices: e.col_indices(),
-            x,
-            y: GlobalMem::new(&mut y),
-        };
-        BalancedLaunch::new(spec, &model, &work).run(ScheduleKind::ThreadMapped, &exec)?
-    };
-    Ok(SpmvRun {
-        y,
-        report: d.report,
-        schedule: d.schedule,
-    })
-}
-
-/// SpMV over COO: one thread per stored entry, scattering into `y` with
-/// `atomicAdd`. Perfectly balanced by construction — every atom is its own
-/// tile — but every atom pays the atomic: the opposite end of the
-/// balance/overhead trade from tile-based schedules, and the reason
-/// formats like F-COO exist (§7). This is the one SpMV that bypasses the
-/// engine: its per-entry scatter has no tile structure for a schedule to
-/// balance.
-pub fn spmv_coo(
-    spec: &GpuSpec,
-    a: &sparse::Coo<f32>,
-    x: &[f32],
-) -> simt::Result<SpmvRun> {
-    assert_eq!(x.len(), a.cols(), "x must have one entry per column");
-    let model = CostModel::standard();
-    let mut y = vec![0.0f32; a.rows()];
-    let (rows, cols, vals) = (a.row_indices(), a.col_indices(), a.values());
-    let n = a.nnz();
-    let block = DEFAULT_BLOCK.min(spec.max_threads_per_block);
-    let report = {
-        let gy = GlobalMem::new(&mut y);
-        simt::launch_threads_with_model(
-            spec,
-            &model,
-            LaunchConfig::over_threads(n.max(1) as u64, block),
-            |t| {
-                let mut i = t.global_thread_id() as usize;
-                while i < n {
-                    t.charge_atom();
-                    gy.fetch_add(rows[i] as usize, vals[i] * x[cols[i] as usize]);
-                    t.charge_atomic();
-                    i += t.grid_size() as usize;
-                }
-            },
-        )?
-    };
-    Ok(SpmvRun {
-        y,
-        report,
-        schedule: ScheduleKind::ThreadMapped,
-    })
+    launch_spmv(spec, model, a, &CsrTiles::new(a), x, Launch::Planned(plan))
 }
 
 /// Maximum relative error between a simulated result and the reference.
@@ -382,13 +282,21 @@ mod tests {
         assert!(tm.report.elapsed_ms() <= mp.report.elapsed_ms());
     }
 
+    /// ELL SpMV through the format path: thread-mapped over the padded
+    /// slab with the standard cost model.
+    fn ell_spmv(spec: &GpuSpec, a: &Csr<f32>, x: &[f32]) -> SpmvRun {
+        let op = crate::formats::PreparedOperand::prepare(a, sparse::FormatKind::Ell).unwrap();
+        let model = CostModel::standard();
+        let kind = ScheduleKind::ThreadMapped;
+        crate::formats::spmv_format(spec, &model, a, &op, x, kind, DEFAULT_BLOCK).unwrap()
+    }
+
     #[test]
     fn ell_spmv_matches_csr_reference() {
         let spec = GpuSpec::v100();
         let a = sparse::gen::banded(5_000, 4, 16);
-        let e = sparse::Ell::from_csr(&a, 2.0).unwrap();
         let x = sparse::dense::test_vector(a.cols());
-        let run = spmv_ell(&spec, &e, &x).unwrap();
+        let run = ell_spmv(&spec, &a, &x);
         let err = max_rel_error(&run.y, &a.spmv_ref(&x));
         assert!(err < 2e-3, "err {err}");
     }
@@ -400,9 +308,8 @@ mod tests {
         // (Row count divides the block size: a ragged tail block would
         // trip the latency-exposure term — see DESIGN.md's model notes.)
         let a = sparse::gen::hub_rows(20_480, 20_480, 64, 512, 8, 17);
-        let e = sparse::Ell::from_csr(&a, 80.0).unwrap();
         let x = sparse::dense::test_vector(a.cols());
-        let ell = spmv_ell(&spec, &e, &x).unwrap();
+        let ell = ell_spmv(&spec, &a, &x);
         let err = max_rel_error(&ell.y, &a.spmv_ref(&x));
         assert!(err < 2e-3, "err {err}");
         let csr_tm = spmv(&spec, &a, &x, ScheduleKind::ThreadMapped).unwrap();
@@ -420,57 +327,12 @@ mod tests {
     }
 
     #[test]
-    fn coo_scatter_matches_reference_and_pays_for_atomics() {
-        let spec = GpuSpec::v100();
-        let a = sparse::gen::powerlaw(5_000, 5_000, 80_000, 1.8, 18);
-        let coo = sparse::convert::csr_to_coo(&a);
-        let x = sparse::dense::test_vector(a.cols());
-        let run = spmv_coo(&spec, &coo, &x).unwrap();
-        let err = max_rel_error(&run.y, &a.spmv_ref(&x));
-        assert!(err < 2e-3, "err {err}");
-        // Balanced but atomic-bound: more issue work than merge-path.
-        let mp = spmv(&spec, &a, &x, ScheduleKind::MergePath).unwrap();
-        assert!(run.report.timing.total_units > mp.report.timing.total_units);
-        assert!(run.report.mem.atomic_ops as usize >= a.nnz());
-    }
-
-    #[test]
-    fn row_span_spmv_is_bitwise_equal_to_the_row_slice_path() {
-        let spec = GpuSpec::v100();
-        let model = CostModel::standard();
-        let a = sparse::gen::powerlaw(1_200, 1_200, 20_000, 1.7, 19);
-        let x = sparse::dense::test_vector(a.cols());
-        for kind in [
-            ScheduleKind::ThreadMapped,
-            ScheduleKind::MergePath,
-            ScheduleKind::GroupMapped(8),
-            ScheduleKind::WorkQueue(4),
-            ScheduleKind::Lrb,
-        ] {
-            for range in [0..400usize, 400..1_200, 777..777, 0..1_200] {
-                let span =
-                    spmv_rows(&spec, &model, &a, range.clone(), &x, kind, DEFAULT_BLOCK).unwrap();
-                let sliced = a.row_slice(range.clone());
-                let slice =
-                    spmv_with_model(&spec, &model, &sliced, &x, kind, DEFAULT_BLOCK).unwrap();
-                assert_eq!(span.y.len(), range.len());
-                assert!(
-                    span.y
-                        .iter()
-                        .zip(&slice.y)
-                        .all(|(a, b)| a.to_bits() == b.to_bits()),
-                    "{kind} {range:?}: span vs row_slice bits differ"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn flat_span_row_spans_are_bitwise_decomposable() {
         // Flat-span schedules process every row as one complete span,
-        // folding its products left-to-right in atom order — so a row
-        // span's result equals the matching slice of the full-matrix
-        // run bitwise. This is the invariant sharded serving merges on.
+        // folding its products left-to-right in atom order — so SpMV of
+        // a row slice equals the matching slice of the full-matrix run
+        // bitwise. This is the invariant sharded serving (`split_spmv`
+        // over `row_slice` sub-matrices) merges on.
         // Cooperative-reduce schedules (warp/block/group-mapped)
         // interleave lane partials in batch-relative order and
         // merge-path splits rows across partial spans, so neither is
@@ -486,8 +348,9 @@ mod tests {
         ] {
             let full = spmv_with_model(&spec, &model, &a, &x, kind, DEFAULT_BLOCK).unwrap();
             for range in [0..300usize, 300..1_024] {
+                let sliced = a.row_slice(range.clone());
                 let span =
-                    spmv_rows(&spec, &model, &a, range.clone(), &x, kind, DEFAULT_BLOCK).unwrap();
+                    spmv_with_model(&spec, &model, &sliced, &x, kind, DEFAULT_BLOCK).unwrap();
                 assert!(
                     span.y
                         .iter()
@@ -500,9 +363,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "one entry per column")]
     fn x_length_checked() {
         let a = sparse::gen::uniform(10, 10, 20, 1);
-        let _ = spmv(&GpuSpec::v100(), &a, &[1.0; 3], ScheduleKind::MergePath);
+        let err = spmv(&GpuSpec::v100(), &a, &[1.0; 3], ScheduleKind::MergePath).unwrap_err();
+        assert!(matches!(err, simt::LaunchError::InvalidWork { .. }));
     }
 }

@@ -1,6 +1,6 @@
 //! Matrix fingerprints — the plan-cache key.
 //!
-//! A prepared [`SpmvPlan`](kernels::plan::SpmvPlan) depends only on the
+//! A prepared [`KernelPlan`](loops::dispatch::KernelPlan) depends only on the
 //! matrix's *row structure*: the schedule heuristic reads `rows`/`cols`/
 //! `nnz`, the merge-path partition reads the row offsets, and LRB bins
 //! rows by length. The fingerprint therefore combines the shape, the

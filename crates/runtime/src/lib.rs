@@ -48,7 +48,7 @@ use std::sync::Arc;
 use kernels::formats::{self, PreparedOperand};
 use kernels::graph::Graph;
 use kernels::plan;
-use kernels::spmm;
+use kernels::spmm::{self, SpmmRun};
 use kernels::spmv::{spmv_with_model, spmv_with_plan, SpmvRun, DEFAULT_BLOCK};
 use kernels::traversal::TRAVERSAL_BLOCK;
 use kernels::bfs;
@@ -588,6 +588,107 @@ pub struct RetiredState {
 /// `(fingerprint, format)`.
 const CONVERT_AMORTIZE_SERVES: f64 = 256.0;
 
+/// The per-kernel half of [`Runtime::tuned_miss`]: how a (schedule ×
+/// format) cell is prepared and run, the cold CSR launch the heuristic
+/// fallback takes, and a run's simulated cost. Implemented on the
+/// kernel's dense input — `x` for SpMV, `B` for SpMM.
+trait TunedInput {
+    type Run;
+    fn prepare(
+        spec: &GpuSpec,
+        model: &CostModel,
+        a: &Csr<f32>,
+        op: &PreparedOperand,
+        kind: ScheduleKind,
+    ) -> simt::Result<KernelPlan>;
+    fn run_planned(
+        &self,
+        spec: &GpuSpec,
+        model: &CostModel,
+        a: &Csr<f32>,
+        op: &PreparedOperand,
+        plan: &KernelPlan,
+    ) -> simt::Result<Self::Run>;
+    fn run_cold(
+        &self,
+        spec: &GpuSpec,
+        model: &CostModel,
+        a: &Csr<f32>,
+        kind: ScheduleKind,
+    ) -> simt::Result<Self::Run>;
+    fn elapsed(run: &Self::Run) -> f64;
+}
+
+impl TunedInput for [f32] {
+    type Run = SpmvRun;
+    fn prepare(
+        spec: &GpuSpec,
+        model: &CostModel,
+        a: &Csr<f32>,
+        op: &PreparedOperand,
+        kind: ScheduleKind,
+    ) -> simt::Result<KernelPlan> {
+        formats::prepare_format_plan(spec, model, a, op, kind, DEFAULT_BLOCK)
+    }
+    fn run_planned(
+        &self,
+        spec: &GpuSpec,
+        model: &CostModel,
+        a: &Csr<f32>,
+        op: &PreparedOperand,
+        plan: &KernelPlan,
+    ) -> simt::Result<SpmvRun> {
+        formats::spmv_format_with_plan(spec, model, a, op, self, plan)
+    }
+    fn run_cold(
+        &self,
+        spec: &GpuSpec,
+        model: &CostModel,
+        a: &Csr<f32>,
+        kind: ScheduleKind,
+    ) -> simt::Result<SpmvRun> {
+        spmv_with_model(spec, model, a, self, kind, DEFAULT_BLOCK)
+    }
+    fn elapsed(run: &SpmvRun) -> f64 {
+        run.report.elapsed_ms()
+    }
+}
+
+impl TunedInput for DenseMatrix<f32> {
+    type Run = SpmmRun;
+    fn prepare(
+        spec: &GpuSpec,
+        model: &CostModel,
+        a: &Csr<f32>,
+        op: &PreparedOperand,
+        kind: ScheduleKind,
+    ) -> simt::Result<KernelPlan> {
+        formats::prepare_format_plan(spec, model, a, op, spmm::coerce(kind), DEFAULT_BLOCK)
+    }
+    fn run_planned(
+        &self,
+        spec: &GpuSpec,
+        model: &CostModel,
+        a: &Csr<f32>,
+        op: &PreparedOperand,
+        plan: &KernelPlan,
+    ) -> simt::Result<SpmmRun> {
+        formats::spmm_format_with_plan(spec, model, a, op, self, plan)
+    }
+    fn run_cold(
+        &self,
+        spec: &GpuSpec,
+        model: &CostModel,
+        a: &Csr<f32>,
+        kind: ScheduleKind,
+    ) -> simt::Result<SpmmRun> {
+        spmm::spmm_with_model(spec, model, a, self, kind)
+    }
+    fn elapsed(run: &SpmmRun) -> f64 {
+        run.report.elapsed_ms()
+    }
+}
+
 /// The serving runtime: device pool + plan cache + batcher + queue.
 #[derive(Debug)]
 pub struct Runtime {
@@ -848,8 +949,9 @@ impl Runtime {
     }
 
     /// Fetch (or deterministically convert and memoize) `a` prepared in
-    /// `format`. The bool is true when this call performed the
-    /// conversion — the caller charges the modeled cost exactly then.
+    /// `format`. CSR serves from `a` itself: its operand materializes
+    /// nothing, so it never enters the cache or counts toward
+    /// [`OPERAND_CACHE_CAP`].
     ///
     /// Fingerprints are deliberately pattern-only
     /// (`value_changes_keep_fingerprint`), but a converted operand
@@ -866,24 +968,41 @@ impl Runtime {
         fp: Fingerprint,
         a: &Csr<f32>,
         format: FormatKind,
-    ) -> simt::Result<(Arc<PreparedOperand>, bool)> {
+    ) -> simt::Result<Arc<PreparedOperand>> {
         if let Some(entry) = self.operands.get(&(fp, format)) {
             if entry.epoch == a.value_epoch() {
-                return Ok((Arc::clone(&entry.op), false));
+                return Ok(Arc::clone(&entry.op));
             }
         }
         let op = Arc::new(PreparedOperand::prepare(a, format)?);
-        if self.operands.len() >= OPERAND_CACHE_CAP && !self.operands.contains_key(&(fp, format)) {
-            self.operands.clear();
+        if op.materialized() {
+            if self.operands.len() >= OPERAND_CACHE_CAP
+                && !self.operands.contains_key(&(fp, format))
+            {
+                self.operands.clear();
+            }
+            self.operands.insert(
+                (fp, format),
+                PreparedEntry {
+                    epoch: a.value_epoch(),
+                    op: Arc::clone(&op),
+                },
+            );
         }
-        self.operands.insert(
-            (fp, format),
-            PreparedEntry {
-                epoch: a.value_epoch(),
-                op: Arc::clone(&op),
-            },
-        );
-        Ok((op, true))
+        Ok(op)
+    }
+
+    /// Run `input`'s kernel on `a` prepared in `format`, under `plan`.
+    fn run_cell<I: TunedInput + ?Sized>(
+        &mut self,
+        fp: Fingerprint,
+        a: &Csr<f32>,
+        input: &I,
+        format: FormatKind,
+        plan: &KernelPlan,
+    ) -> simt::Result<I::Run> {
+        let op = self.prepared_operand(fp, a, format)?;
+        input.run_planned(&self.spec, &self.model, a, &op, plan)
     }
 
     fn emit_tune(
@@ -913,25 +1032,27 @@ impl Runtime {
         }
     }
 
-    /// Serve one solo SpMV plan-cache miss through the autotuner, if it
-    /// wants the key. Returns `None` when the static-heuristic path
-    /// should run unchanged (tuning disabled, or the key table is
-    /// full). Exploration serves run the candidate's *planned* warm
+    /// Serve one plan-cache miss of `input`'s kernel through the
+    /// autotuner, if it wants the key. Returns `None` when the
+    /// static-heuristic path should run unchanged (tuning disabled, or
+    /// the key table is full); otherwise the run and the format it
+    /// served. Exploration serves run the candidate's *planned* warm
     /// path, so the recorded cost is exactly the steady-state cost the
-    /// cache would serve after promotion; a candidate whose plan fails
-    /// to prepare is served via the heuristic and stays unmeasured (a
-    /// later miss retries it).
-    fn spmv_tuned_miss(
+    /// cache would serve after promotion; a candidate whose plan (or
+    /// operand) fails to prepare is served via the heuristic, counted in
+    /// `ctrs.plan_fallbacks`, and stays unmeasured (a later miss retries
+    /// it). Tune events are stamped `now`.
+    fn tuned_miss<I: TunedInput + ?Sized>(
         &mut self,
         key: PlanKey,
         a: &Csr<f32>,
-        x: &[f32],
+        input: &I,
         now: f64,
         ctrs: &mut ServeCounters,
-    ) -> simt::Result<Option<(SpmvRun, FormatKind)>> {
+    ) -> simt::Result<Option<(I::Run, FormatKind)>> {
         let formats_on = self.cfg.tune.formats;
         let Some(action) = self.tuner.choose(key, || {
-            let mut space = loops::dispatch::candidates(KernelKind::Spmv, a);
+            let mut space = loops::dispatch::candidates(key.kernel, a);
             if !formats_on {
                 space.retain(|&(_, f)| f == FormatKind::Csr);
             }
@@ -941,162 +1062,48 @@ impl Runtime {
         };
         match action {
             TuneAction::Explore((kind, format)) => {
-                let prepared = self.spmv_candidate_plan(key.fp, a, (kind, format));
-                match prepared {
-                    Ok((plan, op)) => {
-                        let run = match &op {
-                            Some(op) => formats::spmv_format_with_plan(
-                                &self.spec, &self.model, a, op, x, &plan,
-                            )?,
-                            None => spmv_with_plan(&self.spec, &self.model, a, x, &plan)?,
-                        };
-                        // The recorded cost is the steady-state (warm)
-                        // cost plus the amortized share of the one-time
-                        // conversion — CSR's share is zero.
-                        let convert = op.as_ref().map_or(0.0, |o| o.convert_ms());
-                        let cost =
-                            run.report.elapsed_ms() + convert / CONVERT_AMORTIZE_SERVES;
-                        self.emit_tune(key.kernel, (kind, format), TunePhase::Explore, now, cost);
-                        if let Some(p) = self.tuner.record(key, (kind, format), cost, Some(plan)) {
-                            self.emit_tune(key.kernel, p.candidate, TunePhase::Promote, now, p.cost_ms);
-                            self.cache
-                                .insert(PlanKey { format: p.candidate.1, ..key }, p.plan);
-                        }
-                        Ok(Some((run, format)))
-                    }
-                    Err(_) => {
-                        ctrs.plan_fallbacks += 1;
-                        let kind = self.heuristic.select(a.rows(), a.cols(), a.nnz());
-                        Ok(Some((
-                            spmv_with_model(&self.spec, &self.model, a, x, kind, DEFAULT_BLOCK)?,
-                            FormatKind::Csr,
-                        )))
-                    }
-                }
-            }
-            TuneAction::Exploit {
-                candidate: (kind, format),
-                plan,
-                promote,
-            } => {
-                let run = match plan {
-                    Some(p) => {
-                        if promote {
-                            // A promoted winner fell out of the LRU cache:
-                            // re-install it so the warm path resumes.
-                            self.cache
-                                .insert(PlanKey { format, ..key }, Arc::clone(&p));
-                        }
-                        if format == FormatKind::Csr {
-                            spmv_with_plan(&self.spec, &self.model, a, x, &p)?
-                        } else {
-                            let (op, _) = self.prepared_operand(key.fp, a, format)?;
-                            formats::spmv_format_with_plan(&self.spec, &self.model, a, &op, x, &p)?
-                        }
-                    }
-                    None => {
-                        return Ok(Some((
-                            spmv_with_model(&self.spec, &self.model, a, x, kind, DEFAULT_BLOCK)?,
-                            FormatKind::Csr,
-                        )))
-                    }
+                let prepared = self.prepared_operand(key.fp, a, format).and_then(|op| {
+                    let plan = I::prepare(&self.spec, &self.model, a, &op, kind)?;
+                    Ok((op, Arc::new(plan)))
+                });
+                let Ok((op, plan)) = prepared else {
+                    ctrs.plan_fallbacks += 1;
+                    let kind = self.heuristic.select(a.rows(), a.cols(), a.nnz());
+                    let run = input.run_cold(&self.spec, &self.model, a, kind)?;
+                    return Ok(Some((run, FormatKind::Csr)));
                 };
-                Ok(Some((run, format)))
-            }
-        }
-    }
-
-    /// Prepare the plan (and, for non-CSR cells, the converted operand)
-    /// an SpMV exploration serve runs through. The CSR cell takes the
-    /// pre-existing [`kernels::plan::prepare`] path so schedule-only
-    /// tuning stays byte-identical to the pre-format tuner.
-    #[allow(clippy::type_complexity)]
-    fn spmv_candidate_plan(
-        &mut self,
-        fp: Fingerprint,
-        a: &Csr<f32>,
-        (kind, format): Candidate,
-    ) -> simt::Result<(Arc<KernelPlan>, Option<Arc<PreparedOperand>>)> {
-        if format == FormatKind::Csr {
-            let plan = plan::prepare(&self.spec, &self.model, a, kind, DEFAULT_BLOCK)?;
-            Ok((Arc::new(plan), None))
-        } else {
-            let (op, _) = self.prepared_operand(fp, a, format)?;
-            let plan =
-                formats::prepare_format_plan(&self.spec, &self.model, a, &op, kind, DEFAULT_BLOCK)?;
-            Ok((Arc::new(plan), Some(op)))
-        }
-    }
-
-    /// [`Self::spmv_tuned_miss`]'s SpMM counterpart (standalone path, so
-    /// tune events carry `ts_ms = 0`).
-    fn spmm_tuned_miss(
-        &mut self,
-        key: PlanKey,
-        a: &Csr<f32>,
-        b: &DenseMatrix<f32>,
-    ) -> simt::Result<Option<spmm::SpmmRun>> {
-        let formats_on = self.cfg.tune.formats;
-        let Some(action) = self.tuner.choose(key, || {
-            let mut space = loops::dispatch::candidates(KernelKind::Spmm, a);
-            if !formats_on {
-                space.retain(|&(_, f)| f == FormatKind::Csr);
-            }
-            space
-        }) else {
-            return Ok(None);
-        };
-        match action {
-            TuneAction::Explore((kind, format)) => {
-                let (run, plan, convert) = if format == FormatKind::Csr {
-                    let plan = Arc::new(spmm::prepare(&self.spec, &self.model, a, kind)?);
-                    let run = spmm::spmm_with_plan(&self.spec, &self.model, a, b, &plan)?;
-                    (run, plan, 0.0)
-                } else {
-                    let (op, _) = self.prepared_operand(key.fp, a, format)?;
-                    let run = formats::spmm_format(&self.spec, &self.model, a, &op, b, kind)?;
-                    // A format plan is schedule-only here (format cells
-                    // coerce to flat spans, which carry no artifacts).
-                    let plan = Arc::new(formats::prepare_format_plan(
-                        &self.spec,
-                        &self.model,
-                        a,
-                        &op,
-                        run.schedule,
-                        DEFAULT_BLOCK,
-                    )?);
-                    (run, plan, op.convert_ms())
-                };
-                let cost = run.report.elapsed_ms() + convert / CONVERT_AMORTIZE_SERVES;
-                self.emit_tune(key.kernel, (kind, format), TunePhase::Explore, 0.0, cost);
+                let run = input.run_planned(&self.spec, &self.model, a, &op, &plan)?;
+                // The recorded cost is the steady-state (warm) cost plus
+                // the amortized share of the one-time conversion — CSR's
+                // share is zero.
+                let cost = I::elapsed(&run) + op.convert_ms() / CONVERT_AMORTIZE_SERVES;
+                self.emit_tune(key.kernel, (kind, format), TunePhase::Explore, now, cost);
                 if let Some(p) = self.tuner.record(key, (kind, format), cost, Some(plan)) {
-                    self.emit_tune(key.kernel, p.candidate, TunePhase::Promote, 0.0, p.cost_ms);
+                    self.emit_tune(key.kernel, p.candidate, TunePhase::Promote, now, p.cost_ms);
                     self.cache
                         .insert(PlanKey { format: p.candidate.1, ..key }, p.plan);
                 }
-                Ok(Some(run))
+                Ok(Some((run, format)))
             }
             TuneAction::Exploit {
-                candidate: (kind, format),
-                plan,
+                candidate: (_, format),
+                plan: Some(p),
                 promote,
             } => {
-                let run = match plan {
-                    Some(p) => {
-                        if promote {
-                            self.cache
-                                .insert(PlanKey { format, ..key }, Arc::clone(&p));
-                        }
-                        if format == FormatKind::Csr {
-                            spmm::spmm_with_plan(&self.spec, &self.model, a, b, &p)?
-                        } else {
-                            let (op, _) = self.prepared_operand(key.fp, a, format)?;
-                            formats::spmm_format(&self.spec, &self.model, a, &op, b, p.schedule)?
-                        }
-                    }
-                    None => spmm::spmm_with_model(&self.spec, &self.model, a, b, kind)?,
-                };
-                Ok(Some(run))
+                if promote {
+                    // A promoted winner fell out of the LRU cache:
+                    // re-install it so the warm path resumes.
+                    self.cache.insert(PlanKey { format, ..key }, Arc::clone(&p));
+                }
+                Ok(Some((self.run_cell(key.fp, a, input, format, &p)?, format)))
+            }
+            TuneAction::Exploit {
+                candidate: (kind, _),
+                plan: None,
+                ..
+            } => {
+                let run = input.run_cold(&self.spec, &self.model, a, kind)?;
+                Ok(Some((run, FormatKind::Csr)))
             }
         }
     }
@@ -1117,6 +1124,9 @@ impl Runtime {
         x: &[f32],
         kind: ScheduleKind,
     ) -> simt::Result<PlannedRun<Vec<f32>>> {
+        // A malformed call must fail before the lookup: a failed replay
+        // would evict the matrix's cached plan.
+        kernels::spmv::check_inner("x", x.len(), a.cols())?;
         let fp = self.fingerprint_of(Arc::as_ptr(a) as usize, a);
         let key = Self::logical_key(KernelKind::Spmv, fp);
         let cached = self.cache.get(&key).filter(|p| p.schedule == kind);
@@ -1159,6 +1169,8 @@ impl Runtime {
         a: &Arc<Csr<f32>>,
         b: &DenseMatrix<f32>,
     ) -> simt::Result<PlannedRun<DenseMatrix<f32>>> {
+        // Checked before the lookup, like `run_spmv_pinned`.
+        kernels::spmv::check_inner("B", b.rows(), a.cols())?;
         let fp = self.fingerprint_of(Arc::as_ptr(a) as usize, a);
         let logical = Self::logical_key(KernelKind::Spmm, fp);
         // A promoted non-CSR winner lives under its own format's cache
@@ -1171,24 +1183,16 @@ impl Runtime {
         let key = PlanKey { format: winner_format, ..logical };
         let kind = self.heuristic.select(a.rows(), a.cols(), a.nnz());
         let (run, cache_hit) = match self.cache.get(&key) {
-            Some(plan) => {
-                let served = if winner_format == FormatKind::Csr {
-                    spmm::spmm_with_plan(&self.spec, &self.model, a, b, &plan)
-                } else {
-                    self.prepared_operand(fp, a, winner_format).and_then(|(op, _)| {
-                        formats::spmm_format(&self.spec, &self.model, a, &op, b, plan.schedule)
-                    })
-                };
-                match served {
-                    Ok(run) => (run, true),
-                    Err(_) => {
-                        self.cache.remove(&key);
-                        (spmm::spmm_with_model(&self.spec, &self.model, a, b, kind)?, false)
-                    }
+            Some(plan) => match self.run_cell(fp, a, b, winner_format, &plan) {
+                Ok(run) => (run, true),
+                Err(_) => {
+                    self.cache.remove(&key);
+                    let run = spmm::spmm_with_model(&self.spec, &self.model, a, b, kind)?;
+                    (run, false)
                 }
-            }
-            None => match self.spmm_tuned_miss(logical, a, b)? {
-                Some(run) => (run, false),
+            },
+            None => match self.tuned_miss(logical, a, b, 0.0, &mut ServeCounters::default())? {
+                Some((run, _)) => (run, false),
                 None => {
                     let plan = Arc::new(spmm::prepare(&self.spec, &self.model, a, kind)?);
                     let run = spmm::spmm_with_plan(&self.spec, &self.model, a, b, &plan)?;
@@ -1582,7 +1586,7 @@ impl Runtime {
         // requests; fused batches are one-off shapes and bypass it.
         let (run, cache_hit, format) = if members.len() == 1 {
             let a = &members[0].0.matrix;
-            let x = &members[0].0.x;
+            let x: &[f32] = &members[0].0.x;
             let fp = self.fingerprint_of(Arc::as_ptr(a) as usize, a);
             let logical = Self::logical_key(KernelKind::Spmv, fp);
             // A promoted non-CSR winner's plan lives under its own
@@ -1598,38 +1602,20 @@ impl Runtime {
                 // Graceful degradation: a cached plan whose launch fails
                 // is treated as poisoned — evict it and fall back to the
                 // heuristic path rather than failing the request.
-                Some(plan) => {
-                    let served = if winner_format == FormatKind::Csr {
-                        spmv_with_plan(&self.spec, &self.model, a, x, &plan)
-                    } else {
-                        self.prepared_operand(fp, a, winner_format).and_then(|(op, _)| {
-                            formats::spmv_format_with_plan(
-                                &self.spec, &self.model, a, &op, x, &plan,
-                            )
-                        })
-                    };
-                    match served {
-                        Ok(run) => (run, Some(true), winner_format),
-                        Err(_) => {
-                            self.cache.remove(&key);
-                            ctrs.plan_fallbacks += 1;
-                            let kind = self.heuristic.select(a.rows(), a.cols(), a.nnz());
-                            (
-                                spmv_with_model(
-                                    &self.spec,
-                                    &self.model,
-                                    a,
-                                    x,
-                                    kind,
-                                    DEFAULT_BLOCK,
-                                )?,
-                                Some(false),
-                                FormatKind::Csr,
-                            )
-                        }
+                Some(plan) => match self.run_cell(fp, a, x, winner_format, &plan) {
+                    Ok(run) => (run, Some(true), winner_format),
+                    Err(_) => {
+                        self.cache.remove(&key);
+                        ctrs.plan_fallbacks += 1;
+                        let kind = self.heuristic.select(a.rows(), a.cols(), a.nnz());
+                        (
+                            spmv_with_model(&self.spec, &self.model, a, x, kind, DEFAULT_BLOCK)?,
+                            Some(false),
+                            FormatKind::Csr,
+                        )
                     }
-                }
-                None => match self.spmv_tuned_miss(logical, a, x, submit_ms, ctrs)? {
+                },
+                None => match self.tuned_miss(logical, a, x, submit_ms, ctrs)? {
                     // The autotuner wanted this miss (tuning enabled and
                     // the key is tracked): it served the request under a
                     // candidate or best-known (schedule × format) cell.
@@ -2536,6 +2522,60 @@ mod tests {
             assert_eq!(a.y, b.y);
             assert_eq!(a.end_ms.to_bits(), b.end_ms.to_bits());
         }
+    }
+
+    #[test]
+    fn pinned_spmv_with_the_wrong_x_length_errs_and_keeps_its_plan() {
+        let mut rt = Runtime::new(GpuSpec::v100(), RuntimeConfig::default());
+        let a = Arc::new(sparse::gen::powerlaw(1_000, 1_000, 12_000, 1.8, 70));
+        let x = sparse::dense::test_vector(a.cols());
+        let kind = ScheduleKind::MergePath;
+        assert!(!rt.run_spmv_pinned(&a, &x, kind).unwrap().cache_hit);
+        let err = rt.run_spmv_pinned(&a, &x[1..], kind).unwrap_err();
+        assert!(matches!(err, simt::LaunchError::InvalidWork { .. }));
+        let warm = rt.run_spmv_pinned(&a, &x, kind).unwrap();
+        assert!(warm.cache_hit, "a malformed call must not evict the plan");
+    }
+
+    #[test]
+    fn spmm_with_mismatched_b_errs_and_keeps_its_plan() {
+        let mut rt = Runtime::new(GpuSpec::v100(), RuntimeConfig::default());
+        let a = Arc::new(sparse::gen::powerlaw(1_000, 1_000, 12_000, 1.8, 71));
+        let b = DenseMatrix::from_fn(1_000, 3, |r, c| ((r + c) as f32).sin());
+        assert!(!rt.run_spmm(&a, &b).unwrap().cache_hit);
+        let bad = DenseMatrix::<f32>::zeros(999, 3);
+        let err = rt.run_spmm(&a, &bad).unwrap_err();
+        assert!(matches!(err, simt::LaunchError::InvalidWork { .. }));
+        assert!(rt.run_spmm(&a, &b).unwrap().cache_hit, "plan must survive");
+    }
+
+    #[test]
+    fn a_sweep_that_promotes_csr_caches_no_operand() {
+        // CSR serves from the caller's matrix: its operand must never
+        // occupy (or, past the cap, clear) the prepared-operand cache.
+        let mut rt = Runtime::new(
+            GpuSpec::v100(),
+            RuntimeConfig {
+                tune: TuneConfig {
+                    enabled: true,
+                    epsilon: 1.0,
+                    formats: false,
+                    ..TuneConfig::default()
+                },
+                ..RuntimeConfig::default()
+            },
+        );
+        let m = corpus(1, 72);
+        rt.serve(&stream(&m, 40)).unwrap();
+        let b = DenseMatrix::from_fn(m[0].cols(), 2, |r, c| (r * c) as f32);
+        while rt.tuned_candidate(KernelKind::Spmm, &m[0]).is_none() {
+            rt.run_spmm(&m[0], &b).unwrap();
+        }
+        for kernel in [KernelKind::Spmv, KernelKind::Spmm] {
+            let winner = rt.tuned_candidate(kernel, &m[0]).expect("sweep completed");
+            assert_eq!(winner.1, FormatKind::Csr, "{kernel}");
+        }
+        assert!(rt.operands.is_empty());
     }
 
     // ---- resilience ----------------------------------------------------

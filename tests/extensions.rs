@@ -2,10 +2,13 @@
 //! work-queue schedule, the ELL pre-balanced format, PageRank, and
 //! multi-GPU partitioned SpMV — all against CPU references.
 
+use kernels::formats::{spmv_format, PreparedOperand};
+use kernels::spmv::DEFAULT_BLOCK;
 use kernels::spmv_multi::{spmv_multi, Partition};
 use kernels::Graph;
 use loops::schedule::ScheduleKind;
-use simt::{GpuSpec, MultiGpuSpec};
+use simt::{CostModel, GpuSpec, MultiGpuSpec};
+use sparse::FormatKind;
 
 #[test]
 fn work_queue_spmv_matches_reference_across_chunks() {
@@ -28,7 +31,10 @@ fn ell_pipeline_csr_to_ell_to_spmv() {
     let a = sparse::gen::stencil9(60, 60, 102);
     let e = sparse::Ell::from_csr(&a, 3.0).unwrap();
     let x = sparse::dense::test_vector(a.cols());
-    let run = kernels::spmv::spmv_ell(&spec, &e, &x).unwrap();
+    let op = PreparedOperand::prepare(&a, FormatKind::Ell).unwrap();
+    let model = CostModel::standard();
+    let kind = ScheduleKind::ThreadMapped;
+    let run = spmv_format(&spec, &model, &a, &op, &x, kind, DEFAULT_BLOCK).unwrap();
     let err = kernels::spmv::max_rel_error(&run.y, &a.spmv_ref(&x));
     assert!(err < 2e-3);
     // Round-trip sanity.
