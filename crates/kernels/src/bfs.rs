@@ -6,7 +6,7 @@
 //! bespoke scheduler.
 
 use crate::graph::{Frontier, Graph};
-use crate::traversal::expand;
+use crate::traversal::{check_source, expand};
 use loops::schedule::ScheduleKind;
 use simt::{CostModel, GlobalMem, GpuSpec, LaunchReport};
 
@@ -35,8 +35,8 @@ pub fn bfs_with_model(
     src: usize,
     kind: ScheduleKind,
 ) -> simt::Result<BfsRun> {
+    check_source(g, src)?;
     let n = g.num_vertices();
-    assert!(src < n, "source out of range");
     let mut depth = vec![u32::MAX; n];
     depth[src] = 0;
     let mut frontier = Frontier::source(src);

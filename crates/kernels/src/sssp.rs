@@ -9,7 +9,7 @@
 //! backend (see the comment in [`sssp_with_model`]).
 
 use crate::graph::{Frontier, Graph};
-use crate::traversal::expand;
+use crate::traversal::{check_source, expand};
 use loops::schedule::ScheduleKind;
 use simt::{CostModel, GlobalMem, GpuSpec, LaunchReport};
 
@@ -43,8 +43,8 @@ pub fn sssp_with_model(
     src: usize,
     kind: ScheduleKind,
 ) -> simt::Result<SsspRun> {
+    check_source(g, src)?;
     let n = g.num_vertices();
-    assert!(src < n, "source out of range");
     let mut dist = vec![f32::INFINITY; n];
     dist[src] = 0.0;
     let mut frontier = Frontier::source(src);
@@ -166,9 +166,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "source out of range")]
     fn source_bounds_checked() {
         let g = Graph::from_generator(sparse::gen::uniform(10, 10, 30, 2));
-        let _ = sssp(&GpuSpec::test_tiny(), &g, 10, ScheduleKind::ThreadMapped);
+        let err = sssp(&GpuSpec::test_tiny(), &g, 10, ScheduleKind::ThreadMapped).unwrap_err();
+        assert!(matches!(err, simt::LaunchError::InvalidWork { .. }));
     }
 }

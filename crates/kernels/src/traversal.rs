@@ -17,6 +17,20 @@ use simt::{CostModel, GpuSpec, LaneCtx, LaunchReport};
 /// Default threads per block for traversal kernels.
 pub const TRAVERSAL_BLOCK: u32 = 256;
 
+/// A traversal source must be a vertex of `g`; anything else is
+/// [`simt::LaunchError::InvalidWork`], not a panic, so serving paths can
+/// refuse the call.
+pub fn check_source(g: &Graph, src: usize) -> simt::Result<()> {
+    let n = g.num_vertices();
+    if src < n {
+        Ok(())
+    } else {
+        Err(simt::LaunchError::InvalidWork {
+            reason: format!("source {src} out of range for {n} vertices"),
+        })
+    }
+}
+
 /// The frontier-expansion computation: every atom is one incident edge,
 /// translated from (frontier tile, atom offset) to a global edge id and
 /// handed to the caller's `relax`.

@@ -14,9 +14,12 @@
 //!   [`PlanKey`] (kernel + storage format + matrix [`Fingerprint`]): a hit skips
 //!   schedule selection and setup (LRB binning, merge-path partition
 //!   search) and launches the cheaper prepartitioned kernel. Results
-//!   stay bitwise identical to the cold path. SpMV requests flow through
-//!   it inside [`Runtime::serve`]; [`Runtime::run_spmm`] and
-//!   [`Runtime::run_bfs`] give SpMM and BFS the same warm path.
+//!   stay bitwise identical to the cold path. SpMV requests inside
+//!   [`Runtime::serve`], [`Runtime::run_spmm`] and [`Runtime::run_bfs`]
+//!   take one path through it: a hit runs warm (a failing plan is
+//!   evicted and the call served cold), a miss goes to the autotuner or
+//!   runs cold and caches the prepared plan.
+//!   [`Runtime::run_spmv_pinned`] differs only in its lookup.
 //! * **Small-request batcher** ([`batch`]) — tiny SpMVs wait up to a
 //!   short window and fuse into one block-diagonal launch, paying the
 //!   launch overhead once.
@@ -47,9 +50,8 @@ use std::sync::Arc;
 
 use kernels::formats::{self, PreparedOperand};
 use kernels::graph::Graph;
-use kernels::plan;
 use kernels::spmm::{self, SpmmRun};
-use kernels::spmv::{spmv_with_model, spmv_with_plan, SpmvRun, DEFAULT_BLOCK};
+use kernels::spmv::{spmv_with_model, SpmvRun, DEFAULT_BLOCK};
 use kernels::traversal::TRAVERSAL_BLOCK;
 use kernels::bfs;
 use loops::dispatch::{trace_label, Candidate, KernelKind, KernelPlan};
@@ -459,6 +461,25 @@ impl fmt::Display for RuntimeReport {
     }
 }
 
+/// Latency p50, p99 and mean (ms) of `completions`: nearest-rank
+/// percentiles on the sorted sample, the mean summed in sorted order;
+/// all zero for an empty sample. Every report's latency fields come
+/// from here, so a sharded report re-derived from merged completions
+/// matches a single runtime's bit for bit.
+pub fn latency_stats(completions: &[Completion]) -> (f64, f64, f64) {
+    if completions.is_empty() {
+        return (0.0, 0.0, 0.0);
+    }
+    let mut lat: Vec<f64> = completions.iter().map(Completion::latency_ms).collect();
+    lat.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+    let pick = |p: f64| {
+        let idx = ((p * lat.len() as f64).ceil() as usize).max(1) - 1;
+        lat[idx.min(lat.len() - 1)]
+    };
+    let mean = lat.iter().sum::<f64>() / lat.len() as f64;
+    (pick(0.50), pick(0.99), mean)
+}
+
 /// Completions plus the aggregated report.
 #[derive(Debug, Clone)]
 pub struct ServeResult {
@@ -485,20 +506,14 @@ struct DeviceHealth {
 /// Counters one `serve` call accumulates across its submissions.
 #[derive(Debug, Default)]
 struct ServeCounters {
+    rejected: usize,
+    invalid: usize,
     retries: usize,
     failovers: usize,
     deadline_missed: usize,
     failed: usize,
     plan_fallbacks: usize,
     device_evictions: usize,
-}
-
-/// How one submission (solo request or fused batch) resolved.
-enum SubmitOutcome {
-    /// The job ran; one completion per member.
-    Done(Vec<Completion>),
-    /// The whole job was dropped at `ts_ms` for this reason.
-    Dropped(DropReason, f64),
 }
 
 /// Fingerprint-memo bound: past this many entries, entries cold for at
@@ -588,11 +603,14 @@ pub struct RetiredState {
 /// `(fingerprint, format)`.
 const CONVERT_AMORTIZE_SERVES: f64 = 256.0;
 
-/// The per-kernel half of [`Runtime::tuned_miss`]: how a (schedule ×
-/// format) cell is prepared and run, the cold CSR launch the heuristic
+/// The per-kernel half of the plan-cached run path
+/// ([`Runtime::cached_run`]): the kernel a key names, how a (schedule ×
+/// format) cell is prepared and run, the cold CSR launch a miss or a
 /// fallback takes, and a run's simulated cost. Implemented on the
-/// kernel's dense input — `x` for SpMV, `B` for SpMM.
+/// kernel's input — `x` for SpMV, `B` for SpMM, the graph and source
+/// for BFS.
 trait TunedInput {
+    const KERNEL: KernelKind;
     type Run;
     fn prepare(
         spec: &GpuSpec,
@@ -620,6 +638,7 @@ trait TunedInput {
 }
 
 impl TunedInput for [f32] {
+    const KERNEL: KernelKind = KernelKind::Spmv;
     type Run = SpmvRun;
     fn prepare(
         spec: &GpuSpec,
@@ -655,6 +674,7 @@ impl TunedInput for [f32] {
 }
 
 impl TunedInput for DenseMatrix<f32> {
+    const KERNEL: KernelKind = KernelKind::Spmm;
     type Run = SpmmRun;
     fn prepare(
         spec: &GpuSpec,
@@ -686,6 +706,60 @@ impl TunedInput for DenseMatrix<f32> {
     }
     fn elapsed(run: &SpmmRun) -> f64 {
         run.report.elapsed_ms()
+    }
+}
+
+/// BFS's input. Frontiers change every level, so there is no reusable
+/// partition artifact: the plan is schedule-only, and what the cache
+/// amortizes is the schedule choice for the graph's adjacency matrix.
+/// BFS cost depends on the frontier (and therefore on `src`), so a
+/// sweep measures each candidate on whichever source its exploration
+/// serve carries — acceptable for a workload that revisits sources.
+struct BfsInput<'g> {
+    g: &'g Graph,
+    src: usize,
+}
+
+impl TunedInput for BfsInput<'_> {
+    const KERNEL: KernelKind = KernelKind::Bfs;
+    /// The run plus the schedule it ran under.
+    type Run = (bfs::BfsRun, ScheduleKind);
+    fn prepare(
+        _: &GpuSpec,
+        _: &CostModel,
+        _: &Csr<f32>,
+        _: &PreparedOperand,
+        kind: ScheduleKind,
+    ) -> simt::Result<KernelPlan> {
+        Ok(KernelPlan {
+            schedule: kind,
+            block_dim: TRAVERSAL_BLOCK,
+            merge_starts: None,
+            lrb: None,
+            setup_ms: 0.0,
+        })
+    }
+    fn run_planned(
+        &self,
+        spec: &GpuSpec,
+        model: &CostModel,
+        a: &Csr<f32>,
+        _: &PreparedOperand,
+        plan: &KernelPlan,
+    ) -> simt::Result<Self::Run> {
+        self.run_cold(spec, model, a, plan.schedule)
+    }
+    fn run_cold(
+        &self,
+        spec: &GpuSpec,
+        model: &CostModel,
+        _: &Csr<f32>,
+        kind: ScheduleKind,
+    ) -> simt::Result<Self::Run> {
+        Ok((bfs::bfs_with_model(spec, model, self.g, self.src, kind)?, kind))
+    }
+    fn elapsed(run: &Self::Run) -> f64 {
+        run.0.report.elapsed_ms()
     }
 }
 
@@ -1032,21 +1106,108 @@ impl Runtime {
         }
     }
 
+    /// The one plan-cached run path: look `input`'s kernel up under
+    /// `fp` (in the format of the tuner's promoted winner, CSR
+    /// otherwise), run a cached plan warm ([`Self::warm_run`]); on a miss
+    /// let the autotuner serve it ([`Self::tuned_miss`]), else take the
+    /// heuristic miss ([`Self::cold_miss`]). Returns the run, whether
+    /// the cache served it, and the format it ran from.
+    fn cached_run<I: TunedInput + ?Sized>(
+        &mut self,
+        fp: Fingerprint,
+        a: &Csr<f32>,
+        input: &I,
+        now: f64,
+        ctrs: &mut ServeCounters,
+    ) -> simt::Result<(I::Run, bool, FormatKind)> {
+        let logical = Self::logical_key(I::KERNEL, fp);
+        let kind = self.heuristic.select(a.rows(), a.cols(), a.nnz());
+        // A promoted non-CSR winner's plan lives under its own format's
+        // key; with tuning off the winner is always absent and the
+        // lookup is the logical (CSR) one.
+        let format = self
+            .tuner
+            .winner(&logical)
+            .map_or(FormatKind::Csr, |(_, f)| f);
+        let key = PlanKey { format, ..logical };
+        if let Some(plan) = self.cache.get(&key) {
+            return self.warm_run(key, a, input, &plan, kind, ctrs);
+        }
+        match self.tuned_miss(logical, a, input, kind, now, ctrs)? {
+            Some((run, format)) => Ok((run, false, format)),
+            None => self.cold_miss(logical, a, input, kind, ctrs),
+        }
+    }
+
+    /// Run the plan cached under `key` warm. Graceful degradation: a
+    /// plan whose launch fails is treated as poisoned — evicted, counted
+    /// in `ctrs.plan_fallbacks`, and the call served cold in CSR under
+    /// `fallback` rather than failed.
+    fn warm_run<I: TunedInput + ?Sized>(
+        &mut self,
+        key: PlanKey,
+        a: &Csr<f32>,
+        input: &I,
+        plan: &KernelPlan,
+        fallback: ScheduleKind,
+        ctrs: &mut ServeCounters,
+    ) -> simt::Result<(I::Run, bool, FormatKind)> {
+        match self.run_cell(key.fp, a, input, key.format, plan) {
+            Ok(run) => Ok((run, true, key.format)),
+            Err(_) => {
+                self.cache.remove(&key);
+                ctrs.plan_fallbacks += 1;
+                let run = input.run_cold(&self.spec, &self.model, a, fallback)?;
+                Ok((run, false, FormatKind::Csr))
+            }
+        }
+    }
+
+    /// The one untuned miss policy: serve cold in CSR under `kind`, then
+    /// prepare its plan and cache it under `key`. Plan construction can
+    /// fail (chaos-injected through [`RuntimeConfig::plan_fail_prob`],
+    /// which draws from the seeded stream only when it is positive; in
+    /// principle also a real setup failure): the call is still served —
+    /// only the cache misses out, counted in `ctrs.plan_fallbacks`.
+    fn cold_miss<I: TunedInput + ?Sized>(
+        &mut self,
+        key: PlanKey,
+        a: &Csr<f32>,
+        input: &I,
+        kind: ScheduleKind,
+        ctrs: &mut ServeCounters,
+    ) -> simt::Result<(I::Run, bool, FormatKind)> {
+        let run = input.run_cold(&self.spec, &self.model, a, kind)?;
+        let prepared = if self.cfg.plan_fail_prob > 0.0 && self.rng.chance(self.cfg.plan_fail_prob)
+        {
+            Err(simt::LaunchError::EmptyLaunch)
+        } else {
+            self.prepared_operand(key.fp, a, FormatKind::Csr)
+                .and_then(|op| I::prepare(&self.spec, &self.model, a, &op, kind))
+        };
+        match prepared {
+            Ok(plan) => self.cache.insert(key, Arc::new(plan)),
+            Err(_) => ctrs.plan_fallbacks += 1,
+        }
+        Ok((run, false, FormatKind::Csr))
+    }
+
     /// Serve one plan-cache miss of `input`'s kernel through the
-    /// autotuner, if it wants the key. Returns `None` when the
-    /// static-heuristic path should run unchanged (tuning disabled, or
-    /// the key table is full); otherwise the run and the format it
-    /// served. Exploration serves run the candidate's *planned* warm
-    /// path, so the recorded cost is exactly the steady-state cost the
-    /// cache would serve after promotion; a candidate whose plan (or
-    /// operand) fails to prepare is served via the heuristic, counted in
-    /// `ctrs.plan_fallbacks`, and stays unmeasured (a later miss retries
-    /// it). Tune events are stamped `now`.
+    /// autotuner, if it wants the key. Returns `None` when the untuned
+    /// miss should run instead (tuning disabled, or the key table is
+    /// full); otherwise the run and the format it served. Exploration
+    /// serves run the candidate's *planned* warm path, so the recorded
+    /// cost is exactly the steady-state cost the cache would serve after
+    /// promotion; a candidate whose plan (or operand) fails to prepare
+    /// is served cold under `fallback`, counted in `ctrs.plan_fallbacks`,
+    /// and stays unmeasured (a later miss retries it). Tune events are
+    /// stamped `now`.
     fn tuned_miss<I: TunedInput + ?Sized>(
         &mut self,
         key: PlanKey,
         a: &Csr<f32>,
         input: &I,
+        fallback: ScheduleKind,
         now: f64,
         ctrs: &mut ServeCounters,
     ) -> simt::Result<Option<(I::Run, FormatKind)>> {
@@ -1068,8 +1229,7 @@ impl Runtime {
                 });
                 let Ok((op, plan)) = prepared else {
                     ctrs.plan_fallbacks += 1;
-                    let kind = self.heuristic.select(a.rows(), a.cols(), a.nnz());
-                    let run = input.run_cold(&self.spec, &self.model, a, kind)?;
+                    let run = input.run_cold(&self.spec, &self.model, a, fallback)?;
                     return Ok(Some((run, FormatKind::Csr)));
                 };
                 let run = input.run_planned(&self.spec, &self.model, a, &op, &plan)?;
@@ -1109,15 +1269,15 @@ impl Runtime {
     }
 
     /// Serve one standalone SpMV through the plan cache with a *pinned*
-    /// schedule — the shard crate's per-shard execution primitive. The
-    /// first call for a matrix prepares and caches a [`KernelPlan`] for
-    /// `kind` under the `("spmv", fingerprint)` key; later calls replay
-    /// it, skipping setup. A cached plan whose schedule disagrees with
-    /// the pin (the same sub-matrix served through a differently-pinned
-    /// path) is re-prepared rather than silently un-pinning the caller:
-    /// sharded merges are bitwise-correct only under the schedule the
-    /// split layer chose. Warm and cold runs are bitwise identical
-    /// ([`kernels::plan`]'s contract).
+    /// schedule — the shard crate's per-shard execution primitive. It
+    /// takes the plan-cached run path with its own lookup and no tuner:
+    /// a cached plan serves only if its schedule matches the pin (the
+    /// same sub-matrix served through a differently-pinned path is
+    /// re-prepared rather than silently un-pinning the caller — sharded
+    /// merges are bitwise-correct only under the schedule the split
+    /// layer chose), and a miss runs the untuned miss under the pin.
+    /// Warm and cold runs are bitwise identical ([`kernels::plan`]'s
+    /// contract).
     pub fn run_spmv_pinned(
         &mut self,
         a: &Arc<Csr<f32>>,
@@ -1129,24 +1289,10 @@ impl Runtime {
         kernels::spmv::check_inner("x", x.len(), a.cols())?;
         let fp = self.fingerprint_of(Arc::as_ptr(a) as usize, a);
         let key = Self::logical_key(KernelKind::Spmv, fp);
-        let cached = self.cache.get(&key).filter(|p| p.schedule == kind);
-        let (run, cache_hit) = match cached {
-            Some(p) => match spmv_with_plan(&self.spec, &self.model, a, x, &p) {
-                Ok(run) => (run, true),
-                Err(_) => {
-                    self.cache.remove(&key);
-                    (
-                        spmv_with_model(&self.spec, &self.model, a, x, kind, DEFAULT_BLOCK)?,
-                        false,
-                    )
-                }
-            },
-            None => {
-                let p = Arc::new(plan::prepare(&self.spec, &self.model, a, kind, DEFAULT_BLOCK)?);
-                let run = spmv_with_plan(&self.spec, &self.model, a, x, &p)?;
-                self.cache.insert(key, p);
-                (run, false)
-            }
+        let ctrs = &mut ServeCounters::default();
+        let (run, cache_hit, _) = match self.cache.get(&key).filter(|p| p.schedule == kind) {
+            Some(plan) => self.warm_run(key, a, x, &plan, kind, ctrs)?,
+            None => self.cold_miss(key, a, x, kind, ctrs)?,
         };
         Ok(PlannedRun {
             output: run.y,
@@ -1156,14 +1302,11 @@ impl Runtime {
         })
     }
 
-    /// Serve one SpMM through the plan cache. The first call for a
-    /// matrix prepares and caches a [`KernelPlan`] under the
-    /// `("spmm", fingerprint)` key; later calls replay it — against
-    /// *any* dense `B`, since the artifacts depend only on `a`'s
-    /// sparsity pattern — skipping schedule selection and the in-kernel
-    /// merge-path searches. Output is bitwise identical to the cold
-    /// [`kernels::spmm::spmm`] path; a cached plan whose launch fails is
-    /// evicted and the call falls back to the cold path.
+    /// Serve one SpMM through the plan cache. Later calls for a matrix
+    /// replay its cached [`KernelPlan`] — against *any* dense `B`, since
+    /// the artifacts depend only on `a`'s sparsity pattern — skipping
+    /// schedule selection and the in-kernel merge-path searches. Output
+    /// is bitwise identical to the cold [`kernels::spmm::spmm`] path.
     pub fn run_spmm(
         &mut self,
         a: &Arc<Csr<f32>>,
@@ -1172,35 +1315,7 @@ impl Runtime {
         // Checked before the lookup, like `run_spmv_pinned`.
         kernels::spmv::check_inner("B", b.rows(), a.cols())?;
         let fp = self.fingerprint_of(Arc::as_ptr(a) as usize, a);
-        let logical = Self::logical_key(KernelKind::Spmm, fp);
-        // A promoted non-CSR winner lives under its own format's cache
-        // key; with tuning off the winner is always absent and the
-        // lookup is the logical (CSR) one, unchanged.
-        let winner_format = self
-            .tuner
-            .winner(&logical)
-            .map_or(FormatKind::Csr, |(_, f)| f);
-        let key = PlanKey { format: winner_format, ..logical };
-        let kind = self.heuristic.select(a.rows(), a.cols(), a.nnz());
-        let (run, cache_hit) = match self.cache.get(&key) {
-            Some(plan) => match self.run_cell(fp, a, b, winner_format, &plan) {
-                Ok(run) => (run, true),
-                Err(_) => {
-                    self.cache.remove(&key);
-                    let run = spmm::spmm_with_model(&self.spec, &self.model, a, b, kind)?;
-                    (run, false)
-                }
-            },
-            None => match self.tuned_miss(logical, a, b, 0.0, &mut ServeCounters::default())? {
-                Some((run, _)) => (run, false),
-                None => {
-                    let plan = Arc::new(spmm::prepare(&self.spec, &self.model, a, kind)?);
-                    let run = spmm::spmm_with_plan(&self.spec, &self.model, a, b, &plan)?;
-                    self.cache.insert(key, plan);
-                    (run, false)
-                }
-            },
-        };
+        let (run, cache_hit, _) = self.cached_run(fp, a, b, 0.0, &mut ServeCounters::default())?;
         Ok(PlannedRun {
             output: run.c,
             report: run.report,
@@ -1209,77 +1324,23 @@ impl Runtime {
         })
     }
 
-    /// Serve one BFS through the plan cache. Frontiers change every
-    /// level, so there is no reusable partition artifact; what the plan
-    /// pins — and the cache amortizes — is the schedule choice for the
-    /// graph's adjacency matrix, plus its fingerprinting. Warm and cold
-    /// runs are bitwise identical.
+    /// Serve one BFS through the plan cache. The plan pins — and the
+    /// cache amortizes — the schedule choice for the graph's adjacency
+    /// matrix, plus its fingerprinting. Warm and cold runs are bitwise
+    /// identical.
     pub fn run_bfs(&mut self, g: &Arc<Graph>, src: usize) -> simt::Result<PlannedRun<Vec<u32>>> {
+        // Checked before the lookup, like `run_spmv_pinned`.
+        kernels::traversal::check_source(g, src)?;
         let fp = self.fingerprint_of(Arc::as_ptr(g) as usize, g.adjacency());
-        let key = Self::logical_key(KernelKind::Bfs, fp);
-        // `exploring` carries the candidate to measure for the tuner
-        // after the run (frontier kernels are CSR-only, so its format
-        // component is always CSR); BFS cost depends on the frontier
-        // (and therefore on `src`), so the sweep measures each candidate
-        // on whichever source its exploration serve happens to carry —
-        // acceptable for a steady-state workload that revisits sources.
-        let (plan, cache_hit, exploring) = match self.cache.get(&key) {
-            Some(plan) => (plan, true, None),
-            None => {
-                let adj = g.adjacency();
-                let tuned = self
-                    .tuner
-                    .choose(key, || loops::dispatch::candidates(KernelKind::Bfs, adj));
-                match tuned {
-                    Some(TuneAction::Explore(candidate)) => {
-                        (Self::traversal_plan(candidate.0), false, Some(candidate))
-                    }
-                    Some(TuneAction::Exploit {
-                        candidate,
-                        plan,
-                        promote,
-                    }) => {
-                        let plan = plan.unwrap_or_else(|| Self::traversal_plan(candidate.0));
-                        if promote {
-                            self.cache.insert(key, Arc::clone(&plan));
-                        }
-                        (plan, false, None)
-                    }
-                    None => {
-                        let kind = self.heuristic.select(adj.rows(), adj.cols(), adj.nnz());
-                        let plan = Self::traversal_plan(kind);
-                        self.cache.insert(key, Arc::clone(&plan));
-                        (plan, false, None)
-                    }
-                }
-            }
-        };
-        let run = bfs::bfs_with_model(&self.spec, &self.model, g, src, plan.schedule)?;
-        if let Some(candidate) = exploring {
-            let cost = run.report.elapsed_ms();
-            self.emit_tune(key.kernel, candidate, TunePhase::Explore, 0.0, cost);
-            if let Some(p) = self.tuner.record(key, candidate, cost, Some(Arc::clone(&plan))) {
-                self.emit_tune(key.kernel, p.candidate, TunePhase::Promote, 0.0, p.cost_ms);
-                self.cache.insert(key, p.plan);
-            }
-        }
+        let input = BfsInput { g, src };
+        let ctrs = &mut ServeCounters::default();
+        let ((run, schedule), cache_hit, _) =
+            self.cached_run(fp, g.adjacency(), &input, 0.0, ctrs)?;
         Ok(PlannedRun {
             output: run.depth,
             report: run.report,
-            schedule: plan.schedule,
+            schedule,
             cache_hit,
-        })
-    }
-
-    /// A traversal plan is schedule-only: no partition artifacts survive
-    /// the per-level frontier churn.
-    fn traversal_plan(kind: ScheduleKind) -> Arc<KernelPlan> {
-        Arc::new(KernelPlan {
-            schedule: kind,
-            block_dim: TRAVERSAL_BLOCK,
-            merge_starts: None,
-            lrb: None,
-            setup_ms: 0.0,
         })
     }
 
@@ -1312,8 +1373,6 @@ impl Runtime {
         let mut completions: Vec<Completion> = Vec::with_capacity(order.len());
         let mut dropped: Vec<DroppedRequest> = Vec::new();
         let mut in_flight: Vec<f64> = Vec::new(); // job end times
-        let mut rejected = 0usize;
-        let mut invalid = 0usize;
         let mut batches = 0usize;
         let mut batched_requests = 0usize;
         let mut ctrs = ServeCounters::default();
@@ -1338,23 +1397,8 @@ impl Runtime {
                     let mut live: Vec<(&Request, f64)> = Vec::with_capacity(members.len());
                     for (r, pt) in members {
                         if at > r.arrival_ms + self.cfg.deadline_ms {
-                            ctrs.deadline_missed += 1;
-                            dropped.push(DroppedRequest {
-                                id: r.id,
-                                ts_ms: at,
-                                reason: DropReason::DeadlineMissed,
-                            });
-                            self.emit(TraceEvent::Request {
-                                id: r.id,
-                                phase: RequestPhase::DeadlineMiss,
-                                ts_ms: at,
-                            });
-                            self.emit(TraceEvent::TenantSample {
-                                tenant: r.tenant,
-                                ts_ms: at,
-                                latency_ms: at - r.arrival_ms,
-                                outcome: TenantOutcome::DeadlineMiss,
-                            });
+                            let reason = DropReason::DeadlineMissed;
+                            self.drop_request(r, at, reason, &mut dropped, &mut ctrs);
                         } else {
                             live.push((r, pt));
                         }
@@ -1364,16 +1408,9 @@ impl Runtime {
                             batches += 1;
                             batched_requests += live.len();
                         }
-                        match self.submit(&live, at, &mut ctrs)? {
-                            SubmitOutcome::Done(done) => {
-                                in_flight.push(done[0].end_ms);
-                                completions.extend(done);
-                            }
-                            SubmitOutcome::Dropped(reason, ts) => {
-                                for (r, _) in &live {
-                                    dropped.push(DroppedRequest { id: r.id, ts_ms: ts, reason });
-                                }
-                            }
+                        if let Some(done) = self.submit(&live, at, &mut dropped, &mut ctrs)? {
+                            in_flight.push(done[0].end_ms);
+                            completions.extend(done);
                         }
                     }
                 }
@@ -1390,18 +1427,7 @@ impl Runtime {
             // A malformed request is refused on its own, before it can
             // hold a queue slot or join a batch.
             if r.x.len() != r.matrix.cols() {
-                invalid += 1;
-                dropped.push(DroppedRequest {
-                    id: r.id,
-                    ts_ms: t,
-                    reason: DropReason::Invalid,
-                });
-                self.emit(TraceEvent::TenantSample {
-                    tenant: r.tenant,
-                    ts_ms: t,
-                    latency_ms: 0.0,
-                    outcome: TenantOutcome::Invalid,
-                });
+                self.drop_request(r, t, DropReason::Invalid, &mut dropped, &mut ctrs);
                 continue;
             }
             // A due batch flushes before this arrival is admitted.
@@ -1419,23 +1445,7 @@ impl Runtime {
             if in_flight.len() >= self.cfg.queue_depth {
                 match self.cfg.policy {
                     QueuePolicy::Reject => {
-                        rejected += 1;
-                        dropped.push(DroppedRequest {
-                            id: r.id,
-                            ts_ms: t,
-                            reason: DropReason::Rejected,
-                        });
-                        self.emit(TraceEvent::Request {
-                            id: r.id,
-                            phase: RequestPhase::Reject,
-                            ts_ms: t,
-                        });
-                        self.emit(TraceEvent::TenantSample {
-                            tenant: r.tenant,
-                            ts_ms: t,
-                            latency_ms: t - r.arrival_ms,
-                            outcome: TenantOutcome::Rejected,
-                        });
+                        self.drop_request(r, t, DropReason::Rejected, &mut dropped, &mut ctrs);
                         continue;
                     }
                     QueuePolicy::Block => {
@@ -1451,23 +1461,7 @@ impl Runtime {
             // Deadline check at admission: a blocked queue may already
             // have eaten the request's whole budget.
             if t > r.arrival_ms + self.cfg.deadline_ms {
-                ctrs.deadline_missed += 1;
-                dropped.push(DroppedRequest {
-                    id: r.id,
-                    ts_ms: t,
-                    reason: DropReason::DeadlineMissed,
-                });
-                self.emit(TraceEvent::Request {
-                    id: r.id,
-                    phase: RequestPhase::DeadlineMiss,
-                    ts_ms: t,
-                });
-                self.emit(TraceEvent::TenantSample {
-                    tenant: r.tenant,
-                    ts_ms: t,
-                    latency_ms: t - r.arrival_ms,
-                    outcome: TenantOutcome::DeadlineMiss,
-                });
+                self.drop_request(r, t, DropReason::DeadlineMissed, &mut dropped, &mut ctrs);
                 continue;
             }
             let tiny = self.cfg.batch_max > 1 && r.matrix.nnz() <= self.cfg.tiny_nnz;
@@ -1490,14 +1484,9 @@ impl Runtime {
                     flush_batch!(t);
                 }
             } else {
-                match self.submit(&[(r, t)], t, &mut ctrs)? {
-                    SubmitOutcome::Done(done) => {
-                        in_flight.push(done[0].end_ms);
-                        completions.extend(done);
-                    }
-                    SubmitOutcome::Dropped(reason, ts) => {
-                        dropped.push(DroppedRequest { id: r.id, ts_ms: ts, reason });
-                    }
+                if let Some(done) = self.submit(&[(r, t)], t, &mut dropped, &mut ctrs)? {
+                    in_flight.push(done[0].end_ms);
+                    completions.extend(done);
                 }
             }
         }
@@ -1509,30 +1498,16 @@ impl Runtime {
         }
 
         // Aggregate.
-        let mut latencies: Vec<f64> = completions.iter().map(Completion::latency_ms).collect();
-        latencies.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        let pick = |p: f64| -> f64 {
-            if latencies.is_empty() {
-                0.0
-            } else {
-                let idx = ((p * latencies.len() as f64).ceil() as usize).max(1) - 1;
-                latencies[idx.min(latencies.len() - 1)]
-            }
-        };
-        let mean = if latencies.is_empty() {
-            0.0
-        } else {
-            latencies.iter().sum::<f64>() / latencies.len() as f64
-        };
+        let (latency_p50_ms, latency_p99_ms, latency_mean_ms) = latency_stats(&completions);
         let makespan_ms = completions.iter().fold(0.0f64, |m, c| m.max(c.end_ms));
         let cache_after = self.cache.stats();
         let report = RuntimeReport {
             submitted: requests.len(),
             served: completions.len(),
-            rejected,
+            rejected: ctrs.rejected,
             deadline_missed: ctrs.deadline_missed,
             failed: ctrs.failed,
-            invalid,
+            invalid: ctrs.invalid,
             retries: ctrs.retries,
             failovers: ctrs.failovers,
             plan_fallbacks: ctrs.plan_fallbacks,
@@ -1546,9 +1521,9 @@ impl Runtime {
             },
             tune_explores: self.tuner.stats().explores - tune_before.explores,
             tune_promotes: self.tuner.stats().promotes - tune_before.promotes,
-            latency_p50_ms: pick(0.50),
-            latency_p99_ms: pick(0.99),
-            latency_mean_ms: mean,
+            latency_p50_ms,
+            latency_p99_ms,
+            latency_mean_ms,
             makespan_ms,
             shard: ShardCounters::default(),
             devices: self
@@ -1572,80 +1547,68 @@ impl Runtime {
         })
     }
 
+    /// Count and record one request dropped at `ts_ms`, and emit its
+    /// trace events: the request phase (an invalid request, which never
+    /// entered the queue, and a failed one have none), then its tenant
+    /// sample.
+    fn drop_request(
+        &self,
+        r: &Request,
+        ts_ms: f64,
+        reason: DropReason,
+        dropped: &mut Vec<DroppedRequest>,
+        ctrs: &mut ServeCounters,
+    ) {
+        let (phase, outcome) = match reason {
+            DropReason::Invalid => {
+                ctrs.invalid += 1;
+                (None, TenantOutcome::Invalid)
+            }
+            DropReason::Rejected => {
+                ctrs.rejected += 1;
+                (Some(RequestPhase::Reject), TenantOutcome::Rejected)
+            }
+            DropReason::DeadlineMissed => {
+                ctrs.deadline_missed += 1;
+                (Some(RequestPhase::DeadlineMiss), TenantOutcome::DeadlineMiss)
+            }
+            DropReason::Failed => {
+                ctrs.failed += 1;
+                (None, TenantOutcome::Failed)
+            }
+        };
+        dropped.push(DroppedRequest { id: r.id, ts_ms, reason });
+        if let Some(phase) = phase {
+            self.emit(TraceEvent::Request { id: r.id, phase, ts_ms });
+        }
+        self.emit(TraceEvent::TenantSample {
+            tenant: r.tenant,
+            ts_ms,
+            latency_ms: ts_ms - r.arrival_ms,
+            outcome,
+        });
+    }
+
     /// Run one job (solo request or fused batch) and place it on the
     /// earliest-available healthy stream at or after `submit_ms`,
     /// retrying faulted dispatches with exponential backoff and failing
-    /// over across devices.
+    /// over across devices. Returns one completion per member, or `None`
+    /// when the whole job was dropped (recorded in `dropped`).
     fn submit(
         &mut self,
         members: &[(&Request, f64)],
         submit_ms: f64,
+        dropped: &mut Vec<DroppedRequest>,
         ctrs: &mut ServeCounters,
-    ) -> simt::Result<SubmitOutcome> {
+    ) -> simt::Result<Option<Vec<Completion>>> {
         // Execute functionally + time solo, via the plan cache for solo
         // requests; fused batches are one-off shapes and bypass it.
-        let (run, cache_hit, format) = if members.len() == 1 {
-            let a = &members[0].0.matrix;
-            let x: &[f32] = &members[0].0.x;
-            let fp = self.fingerprint_of(Arc::as_ptr(a) as usize, a);
-            let logical = Self::logical_key(KernelKind::Spmv, fp);
-            // A promoted non-CSR winner's plan lives under its own
-            // format's cache key; with tuning off the winner is always
-            // absent, so the lookup — and everything downstream — is
-            // byte-identical to the pre-format runtime.
-            let winner_format = self
-                .tuner
-                .winner(&logical)
-                .map_or(FormatKind::Csr, |(_, f)| f);
-            let key = PlanKey { format: winner_format, ..logical };
-            let outcome = match self.cache.get(&key) {
-                // Graceful degradation: a cached plan whose launch fails
-                // is treated as poisoned — evict it and fall back to the
-                // heuristic path rather than failing the request.
-                Some(plan) => match self.run_cell(fp, a, x, winner_format, &plan) {
-                    Ok(run) => (run, Some(true), winner_format),
-                    Err(_) => {
-                        self.cache.remove(&key);
-                        ctrs.plan_fallbacks += 1;
-                        let kind = self.heuristic.select(a.rows(), a.cols(), a.nnz());
-                        (
-                            spmv_with_model(&self.spec, &self.model, a, x, kind, DEFAULT_BLOCK)?,
-                            Some(false),
-                            FormatKind::Csr,
-                        )
-                    }
-                },
-                None => match self.tuned_miss(logical, a, x, submit_ms, ctrs)? {
-                    // The autotuner wanted this miss (tuning enabled and
-                    // the key is tracked): it served the request under a
-                    // candidate or best-known (schedule × format) cell.
-                    Some((run, fmt)) => (run, Some(false), fmt),
-                    None => {
-                        let kind = self.heuristic.select(a.rows(), a.cols(), a.nnz());
-                        let run =
-                            spmv_with_model(&self.spec, &self.model, a, x, kind, DEFAULT_BLOCK)?;
-                        // Plan construction can fail (chaos-injected here;
-                        // in principle also a real setup failure): the
-                        // request is still served through the heuristic run
-                        // above — only the cache misses out.
-                        let prepared: simt::Result<KernelPlan> = if self.cfg.plan_fail_prob > 0.0
-                            && self.rng.chance(self.cfg.plan_fail_prob)
-                        {
-                            Err(simt::LaunchError::EmptyLaunch)
-                        } else {
-                            plan::prepare(&self.spec, &self.model, a, kind, DEFAULT_BLOCK)
-                        };
-                        match prepared {
-                            Ok(plan) => self.cache.insert(key, Arc::new(plan)),
-                            Err(_) => ctrs.plan_fallbacks += 1,
-                        }
-                        (run, Some(false), FormatKind::Csr)
-                    }
-                },
-            };
+        let (run, cache_hit, format) = if let [(r, _)] = members {
+            let fp = self.fingerprint_of(Arc::as_ptr(&r.matrix) as usize, &r.matrix);
+            let (run, hit, format) = self.cached_run(fp, &r.matrix, &*r.x, submit_ms, ctrs)?;
             self.emit(TraceEvent::Request {
-                id: members[0].0.id,
-                phase: if outcome.1 == Some(true) {
+                id: r.id,
+                phase: if hit {
                     RequestPhase::CacheHit
                 } else {
                     RequestPhase::CacheMiss
@@ -1657,7 +1620,7 @@ impl Runtime {
                 ts_ms: submit_ms,
                 value: self.cache.len() as f64,
             });
-            outcome
+            (run, Some(hit), format)
         } else {
             let parts: Vec<&Csr<f32>> = members.iter().map(|(r, _)| r.matrix.as_ref()).collect();
             let fused = batch::block_diag(&parts);
@@ -1693,21 +1656,10 @@ impl Runtime {
                 .map(|(di, s)| self.devices[di].stream_ready_ms(s).max(when))
                 .unwrap_or(when);
             if earliest_start > job_deadline {
-                ctrs.deadline_missed += members.len();
                 for (r, _) in members {
-                    self.emit(TraceEvent::Request {
-                        id: r.id,
-                        phase: RequestPhase::DeadlineMiss,
-                        ts_ms: when,
-                    });
-                    self.emit(TraceEvent::TenantSample {
-                        tenant: r.tenant,
-                        ts_ms: when,
-                        latency_ms: when - r.arrival_ms,
-                        outcome: TenantOutcome::DeadlineMiss,
-                    });
+                    self.drop_request(r, when, DropReason::DeadlineMissed, dropped, ctrs);
                 }
-                return Ok(SubmitOutcome::Dropped(DropReason::DeadlineMissed, when));
+                return Ok(None);
             }
             let Some((dev_idx, stream)) = picked else {
                 // No device admits work right now: jump to the earliest
@@ -1718,16 +1670,10 @@ impl Runtime {
                         continue;
                     }
                     None => {
-                        ctrs.failed += members.len();
                         for (r, _) in members {
-                            self.emit(TraceEvent::TenantSample {
-                                tenant: r.tenant,
-                                ts_ms: when,
-                                latency_ms: when - r.arrival_ms,
-                                outcome: TenantOutcome::Failed,
-                            });
+                            self.drop_request(r, when, DropReason::Failed, dropped, ctrs);
                         }
-                        return Ok(SubmitOutcome::Dropped(DropReason::Failed, when));
+                        return Ok(None);
                     }
                 }
             };
@@ -1778,16 +1724,10 @@ impl Runtime {
                         });
                     }
                     if attempt > self.cfg.max_retries {
-                        ctrs.failed += members.len();
                         for (r, _) in members {
-                            self.emit(TraceEvent::TenantSample {
-                                tenant: r.tenant,
-                                ts_ms: at_ms,
-                                latency_ms: at_ms - r.arrival_ms,
-                                outcome: TenantOutcome::Failed,
-                            });
+                            self.drop_request(r, at_ms, DropReason::Failed, dropped, ctrs);
                         }
-                        return Ok(SubmitOutcome::Dropped(DropReason::Failed, at_ms));
+                        return Ok(None);
                     }
                     // Exponential backoff with seeded jitter.
                     let backoff = self.cfg.retry_backoff_ms
@@ -1828,7 +1768,7 @@ impl Runtime {
             }
         }
 
-        Ok(SubmitOutcome::Done(self.complete(
+        Ok(Some(self.complete(
             members,
             &run,
             dev_idx,
@@ -2576,6 +2516,111 @@ mod tests {
             assert_eq!(winner.1, FormatKind::Csr, "{kernel}");
         }
         assert!(rt.operands.is_empty());
+    }
+
+    #[test]
+    fn bfs_with_an_out_of_range_source_errs_and_keeps_its_plan() {
+        let mut rt = Runtime::new(GpuSpec::v100(), RuntimeConfig::default());
+        let g = Arc::new(Graph::from_generator(sparse::gen::powerlaw(
+            1_000, 1_000, 12_000, 1.8, 73,
+        )));
+        assert!(!rt.run_bfs(&g, 0).unwrap().cache_hit);
+        let err = rt.run_bfs(&g, g.num_vertices()).unwrap_err();
+        assert!(matches!(err, simt::LaunchError::InvalidWork { .. }));
+        assert!(rt.run_bfs(&g, 0).unwrap().cache_hit, "plan must survive");
+    }
+
+    #[test]
+    fn spmv_spmm_and_bfs_share_one_miss_policy() {
+        // The heuristic picks merge-path here, so a miss that ran the
+        // prepared plan (skipping the merge-path search) would issue less
+        // work than the cold kernel, and the report check below sees it.
+        let a = Arc::new(sparse::gen::uniform(2_000, 2_000, 40_000, 26));
+        let kind = Heuristic::paper().select(a.rows(), a.cols(), a.nnz());
+        assert_eq!(kind, ScheduleKind::MergePath);
+        let (spec, model) = (GpuSpec::v100(), CostModel::standard());
+        let g = Arc::new(Graph::from_generator(a.as_ref().clone()));
+        let b = DenseMatrix::from_fn(a.cols(), 3, |r, c| ((r + 2 * c) as f32).sin());
+        let x: Arc<[f32]> = sparse::dense::test_vector(a.cols()).into();
+        let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        // Each call returns (cache hit, output bits, and — where the call
+        // returns a launch report — that report next to the cold kernel's
+        // under the schedule it served, host wall time zeroed).
+        let strip = |r: &LaunchReport| LaunchReport {
+            host_wall_ms: 0.0,
+            ..r.clone()
+        };
+        type Reports = Option<(LaunchReport, LaunchReport)>;
+        type Call<'a> = Box<dyn Fn(&mut Runtime) -> (bool, Vec<u32>, Reports) + 'a>;
+        let calls: [(&str, Call<'_>); 3] = [
+            (
+                "spmv",
+                Box::new(|rt| {
+                    let req = Request {
+                        id: 0,
+                        tenant: 0,
+                        matrix: Arc::clone(&a),
+                        x: Arc::clone(&x),
+                        arrival_ms: 0.0,
+                    };
+                    let c = rt.serve(&[req]).unwrap().completions.remove(0);
+                    (c.cache_hit == Some(true), bits(&c.y.unwrap()), None)
+                }),
+            ),
+            (
+                "spmm",
+                Box::new(|rt| {
+                    let run = rt.run_spmm(&a, &b).unwrap();
+                    let cold = spmm::spmm_with_model(&spec, &model, &a, &b, run.schedule).unwrap();
+                    let reports = (strip(&run.report), strip(&cold.report));
+                    (run.cache_hit, bits(run.output.as_slice()), Some(reports))
+                }),
+            ),
+            (
+                "bfs",
+                Box::new(|rt| {
+                    let run = rt.run_bfs(&g, 0).unwrap();
+                    let cold = bfs::bfs_with_model(&spec, &model, &g, 0, run.schedule).unwrap();
+                    let reports = (strip(&run.report), strip(&cold.report));
+                    (run.cache_hit, run.output, Some(reports))
+                }),
+            ),
+        ];
+        for (name, call) in &calls {
+            let mut rt = Runtime::new(
+                spec.clone(),
+                RuntimeConfig {
+                    keep_results: true,
+                    ..RuntimeConfig::default()
+                },
+            );
+            let (hit, first, reports) = call(&mut rt);
+            assert!(!hit, "{name}: the first call misses");
+            if let Some((served, cold)) = reports {
+                let (t, cold_t) = (served.elapsed_ms(), cold.elapsed_ms());
+                assert_eq!(t.to_bits(), cold_t.to_bits(), "{name}: a miss runs cold");
+                assert_eq!(served, cold, "{name}: a miss runs cold");
+            }
+            let (hit, second, _) = call(&mut rt);
+            assert!(hit, "{name}: the second call hits");
+            assert_eq!(first, second, "{name}: warm output bits equal the miss's");
+        }
+    }
+
+    #[test]
+    fn operand_cache_is_bounded_and_serves_its_newest_entry() {
+        let mut rt = Runtime::new(GpuSpec::v100(), RuntimeConfig::default());
+        let mut last = None;
+        for i in 0..OPERAND_CACHE_CAP + 5 {
+            let a = sparse::gen::uniform(16 + i, 16, 40, i as u64);
+            let fp = Fingerprint::of(&a);
+            let op = rt.prepared_operand(fp, &a, FormatKind::Coo).unwrap();
+            assert!(rt.operands.len() <= OPERAND_CACHE_CAP);
+            last = Some((fp, a, op));
+        }
+        let (fp, a, op) = last.unwrap();
+        let again = rt.prepared_operand(fp, &a, FormatKind::Coo).unwrap();
+        assert!(Arc::ptr_eq(&op, &again), "the newest key is served from the cache");
     }
 
     // ---- resilience ----------------------------------------------------
