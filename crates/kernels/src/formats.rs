@@ -441,8 +441,8 @@ pub fn pagerank_format(
     tol: f32,
     max_iters: usize,
 ) -> simt::Result<crate::pagerank::PageRankRun> {
+    crate::pagerank::check_graph(g)?;
     let n = g.num_vertices();
-    assert!(n > 0, "graph must have vertices");
     let mt = crate::pagerank::normalized_transpose(g);
     let op = PreparedOperand::prepare(&mt, format)?;
     let dangling: Vec<usize> = (0..n).filter(|&u| g.degree(u) == 0).collect();

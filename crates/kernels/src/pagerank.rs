@@ -48,6 +48,17 @@ pub fn normalized_transpose(g: &Graph) -> Csr<f32> {
     convert::transpose(&m)
 }
 
+/// PageRank's check on caller data: the graph must have vertices.
+pub fn check_graph(g: &Graph) -> simt::Result<()> {
+    if g.num_vertices() > 0 {
+        Ok(())
+    } else {
+        Err(simt::LaunchError::InvalidWork {
+            reason: "PageRank of a graph with no vertices".into(),
+        })
+    }
+}
+
 /// Run PageRank with the given schedule until the L1 delta falls below
 /// `tol` (or `max_iters`), starting from the uniform distribution.
 pub fn pagerank(
@@ -58,7 +69,6 @@ pub fn pagerank(
     max_iters: usize,
 ) -> simt::Result<PageRankRun> {
     let n = g.num_vertices();
-    assert!(n > 0, "graph must have vertices");
     pagerank_warm(spec, g, kind, tol, max_iters, &vec![1.0f32 / n as f32; n])
 }
 
@@ -69,6 +79,9 @@ pub fn pagerank(
 /// exactly [`pagerank`] (same ops, bitwise). `init` is L1-normalized
 /// first, so stale ranks from a graph whose mass distribution drifted
 /// still enter as a probability vector.
+///
+/// Errors with [`simt::LaunchError::InvalidWork`] for a graph with no
+/// vertices or an `init` without one rank per vertex.
 pub fn pagerank_warm(
     spec: &GpuSpec,
     g: &Graph,
@@ -77,9 +90,13 @@ pub fn pagerank_warm(
     max_iters: usize,
     init: &[f32],
 ) -> simt::Result<PageRankRun> {
+    check_graph(g)?;
     let n = g.num_vertices();
-    assert!(n > 0, "graph must have vertices");
-    assert_eq!(init.len(), n, "init must have one rank per vertex");
+    if init.len() != n {
+        return Err(simt::LaunchError::InvalidWork {
+            reason: format!("{} initial ranks for {n} vertices", init.len()),
+        });
+    }
     let mt = normalized_transpose(g);
     let dangling: Vec<usize> = (0..n).filter(|&u| g.degree(u) == 0).collect();
     let model = CostModel::standard();
@@ -188,6 +205,40 @@ mod tests {
             }
             assert!(run.iterations > 3, "{kind}: converged suspiciously fast");
         }
+    }
+
+    fn assert_invalid_work(r: simt::Result<PageRankRun>, what: &str) {
+        match r {
+            Err(simt::LaunchError::InvalidWork { reason }) => {
+                assert!(reason.contains(what), "unexpected reason: {reason}")
+            }
+            other => panic!("expected InvalidWork ({what}), got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn pagerank_of_an_empty_graph_is_invalid_work() {
+        let spec = GpuSpec::test_tiny();
+        let empty = Graph::new(Csr::empty(0, 0));
+        let kind = ScheduleKind::MergePath;
+        assert_invalid_work(pagerank(&spec, &empty, kind, 1e-6, 10), "no vertices");
+        assert_invalid_work(
+            pagerank_warm(&spec, &empty, kind, 1e-6, 10, &[]),
+            "no vertices",
+        );
+        assert_invalid_work(
+            crate::formats::pagerank_format(&spec, &empty, kind, sparse::FormatKind::Csr, 1e-6, 10),
+            "no vertices",
+        );
+    }
+
+    #[test]
+    fn pagerank_warm_with_a_wrong_init_length_is_invalid_work() {
+        let g = rmat_graph();
+        let init = vec![1.0f32; g.num_vertices() - 1];
+        let spec = GpuSpec::test_tiny();
+        let r = pagerank_warm(&spec, &g, ScheduleKind::MergePath, 1e-6, 10, &init);
+        assert_invalid_work(r, "initial ranks");
     }
 
     #[test]

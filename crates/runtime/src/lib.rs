@@ -182,8 +182,28 @@ pub struct Request {
     pub matrix: Arc<Csr<f32>>,
     /// The (shared) input vector; must have `matrix.cols()` entries.
     pub x: Arc<[f32]>,
-    /// Arrival time in simulated milliseconds.
+    /// Arrival time in simulated milliseconds; must be finite.
     pub arrival_ms: f64,
+}
+
+impl Request {
+    /// Whether the request can be served at all: its arrival time is
+    /// finite and `x` has `matrix.cols()` entries. Anything else is
+    /// refused on arrival as [`DropReason::Invalid`].
+    pub fn is_valid(&self) -> bool {
+        self.arrival_ms.is_finite() && self.x.len() == self.matrix.cols()
+    }
+
+    /// Where the request sits on the serving clock: `arrival_ms`, or the
+    /// clock's origin (0 ms) for a non-finite arrival, which has no place
+    /// on the clock and is refused there as invalid.
+    pub fn arrival_stamp(&self) -> f64 {
+        if self.arrival_ms.is_finite() {
+            self.arrival_ms
+        } else {
+            0.0
+        }
+    }
 }
 
 /// Outcome of one served request.
@@ -233,7 +253,8 @@ pub enum DropReason {
     /// Every dispatch attempt failed (retries exhausted or no device
     /// left alive).
     Failed,
-    /// The request is malformed (`x.len() != matrix.cols()`); it is
+    /// The request is malformed (`x.len() != matrix.cols()`, or a
+    /// non-finite arrival time; see [`Request::is_valid`]); it is
     /// refused on arrival and never reaches admission or a device.
     Invalid,
 }
@@ -471,7 +492,7 @@ pub fn latency_stats(completions: &[Completion]) -> (f64, f64, f64) {
         return (0.0, 0.0, 0.0);
     }
     let mut lat: Vec<f64> = completions.iter().map(Completion::latency_ms).collect();
-    lat.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+    lat.sort_by(f64::total_cmp);
     let pick = |p: f64| {
         let idx = ((p * lat.len() as f64).ceil() as usize).max(1) - 1;
         lat[idx.min(lat.len() - 1)]
@@ -1363,12 +1384,7 @@ impl Runtime {
         let cache_before = self.cache.stats();
         let tune_before = self.tuner.stats();
         let mut order: Vec<&Request> = requests.iter().collect();
-        order.sort_by(|a, b| {
-            a.arrival_ms
-                .partial_cmp(&b.arrival_ms)
-                .expect("arrival times are finite")
-                .then(a.id.cmp(&b.id))
-        });
+        order.sort_by(|a, b| a.arrival_ms.total_cmp(&b.arrival_ms).then(a.id.cmp(&b.id)));
 
         let mut completions: Vec<Completion> = Vec::with_capacity(order.len());
         let mut dropped: Vec<DroppedRequest> = Vec::new();
@@ -1418,15 +1434,15 @@ impl Runtime {
         }
 
         for r in order {
-            let mut t = r.arrival_ms;
+            let mut t = r.arrival_stamp();
             self.emit(TraceEvent::Request {
                 id: r.id,
                 phase: RequestPhase::Enqueue,
-                ts_ms: r.arrival_ms,
+                ts_ms: t,
             });
             // A malformed request is refused on its own, before it can
             // hold a queue slot or join a batch.
-            if r.x.len() != r.matrix.cols() {
+            if !r.is_valid() {
                 self.drop_request(r, t, DropReason::Invalid, &mut dropped, &mut ctrs);
                 continue;
             }
@@ -1450,7 +1466,7 @@ impl Runtime {
                     }
                     QueuePolicy::Block => {
                         // Wait until enough jobs drain to open a slot.
-                        in_flight.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+                        in_flight.sort_by(f64::total_cmp);
                         while in_flight.len() >= self.cfg.queue_depth {
                             t = t.max(in_flight.remove(0));
                         }
@@ -1581,10 +1597,15 @@ impl Runtime {
         if let Some(phase) = phase {
             self.emit(TraceEvent::Request { id: r.id, phase, ts_ms });
         }
+        // An invalid request never waited: its arrival may not be a time.
+        let latency_ms = match reason {
+            DropReason::Invalid => 0.0,
+            _ => ts_ms - r.arrival_ms,
+        };
         self.emit(TraceEvent::TenantSample {
             tenant: r.tenant,
             ts_ms,
-            latency_ms: ts_ms - r.arrival_ms,
+            latency_ms,
             outcome,
         });
     }
@@ -1821,7 +1842,7 @@ impl Runtime {
             .filter(|h| !h.dead)
             .map(|h| h.evicted_until_ms)
             .filter(|&t| t > now)
-            .min_by(|a, b| a.partial_cmp(b).expect("finite"))
+            .min_by(f64::total_cmp)
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -2456,6 +2477,48 @@ mod tests {
         // served exactly as if the bad one had never arrived.
         let without: Vec<Request> = good.into_iter().filter(|r| r.id != bad_id).collect();
         let want = Runtime::new(GpuSpec::v100(), cfg).serve(&without).unwrap();
+        assert_eq!(out.completions.len(), want.completions.len());
+        for (a, b) in out.completions.iter().zip(&want.completions) {
+            assert_eq!(a.id, b.id);
+            assert_eq!(a.y, b.y);
+            assert_eq!(a.end_ms.to_bits(), b.end_ms.to_bits());
+        }
+    }
+
+    #[test]
+    fn a_non_finite_arrival_is_dropped_as_invalid_not_fatal() {
+        let m = corpus(3, 330);
+        let good = stream(&m, 40);
+        let cfg = RuntimeConfig {
+            keep_results: true,
+            ..RuntimeConfig::default()
+        };
+        let want = Runtime::new(GpuSpec::v100(), cfg).serve(&good).unwrap();
+        let mut reqs = good.clone();
+        let bad = [(3usize, f64::NAN), (17, f64::INFINITY), (29, f64::NEG_INFINITY)];
+        for &(i, arrival) in &bad {
+            let mut r = good[i].clone();
+            r.id += 1_000;
+            r.arrival_ms = arrival;
+            reqs.insert(i, r);
+        }
+        let out = Runtime::new(GpuSpec::v100(), cfg)
+            .serve(&reqs)
+            .expect("a non-finite arrival must not fail the stream");
+        assert_eq!(out.report.submitted, 43);
+        assert_eq!(out.report.invalid, 3);
+        assert!(out.report.reconciles());
+        let mut ids: Vec<u64> = out.dropped.iter().map(|d| d.id).collect();
+        ids.sort_unstable();
+        let mut want_ids: Vec<u64> = bad.iter().map(|&(i, _)| good[i].id + 1_000).collect();
+        want_ids.sort_unstable();
+        assert_eq!(ids, want_ids);
+        for d in &out.dropped {
+            assert_eq!(d.reason, DropReason::Invalid);
+            assert!(d.ts_ms.is_finite(), "drop stamped at {}", d.ts_ms);
+        }
+        assert!(out.report.latency_p99_ms.is_finite());
+        // The good requests are served as if the bad ones never arrived.
         assert_eq!(out.completions.len(), want.completions.len());
         for (a, b) in out.completions.iter().zip(&want.completions) {
             assert_eq!(a.id, b.id);

@@ -24,7 +24,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use kernels::graph::Graph;
-use kernels::pagerank::{normalized_transpose, DAMPING};
+use kernels::pagerank::{check_graph, normalized_transpose, DAMPING};
 use loops::schedule::ScheduleKind;
 use runtime::split::{pinned_schedule, split_spmv};
 use runtime::{
@@ -230,12 +230,7 @@ impl ShardGroup {
     /// admitted start time.
     pub fn serve_split(&mut self, requests: &[Request]) -> simt::Result<ServeResult> {
         let mut order: Vec<usize> = (0..requests.len()).collect();
-        order.sort_by(|&i, &j| {
-            requests[i]
-                .arrival_ms
-                .partial_cmp(&requests[j].arrival_ms)
-                .expect("finite arrivals")
-        });
+        order.sort_by(|&i, &j| requests[i].arrival_ms.total_cmp(&requests[j].arrival_ms));
 
         let cache_before: Vec<_> = self.shards.iter().map(Runtime::cache_stats).collect();
         let mut completions: Vec<Completion> = Vec::new();
@@ -251,8 +246,14 @@ impl ShardGroup {
 
         for &i in &order {
             let r = &requests[i];
-            let in_flight = ends.len() - ends.partition_point(|&e| e <= r.arrival_ms);
-            if in_flight >= self.cfg.queue_depth && self.cfg.policy == QueuePolicy::Reject {
+            // A non-finite arrival holds no queue slot: it is routed at
+            // the clock's origin and refused below as invalid.
+            let at = r.arrival_stamp();
+            let in_flight = ends.len() - ends.partition_point(|&e| e <= at);
+            if r.arrival_ms.is_finite()
+                && in_flight >= self.cfg.queue_depth
+                && self.cfg.policy == QueuePolicy::Reject
+            {
                 counters.shard_rejects += 1;
                 self.emit(
                     self.ring.route(r.id),
@@ -270,15 +271,15 @@ impl ShardGroup {
             }
             let home = self.ring.route(r.id);
             counters.routed += 1;
-            self.emit(home, ShardPhase::Route, r.arrival_ms, r.id as f64);
+            self.emit(home, ShardPhase::Route, at, r.id as f64);
             // A malformed request is refused at its home shard, as
             // routed mode's shard runtime refuses it.
-            if r.x.len() != r.matrix.cols() {
+            if !r.is_valid() {
                 invalid += 1;
-                self.emit_tenant(r.tenant, r.arrival_ms, 0.0, TenantOutcome::Invalid);
+                self.emit_tenant(r.tenant, at, 0.0, TenantOutcome::Invalid);
                 dropped.push(DroppedRequest {
                     id: r.id,
-                    ts_ms: r.arrival_ms,
+                    ts_ms: at,
                     reason: DropReason::Invalid,
                 });
                 continue;
@@ -362,7 +363,7 @@ impl ShardGroup {
         let mut per_shard: Vec<Vec<Request>> = vec![Vec::new(); self.shards.len()];
         for r in requests {
             let home = self.ring.route(r.id);
-            self.emit(home, ShardPhase::Route, r.arrival_ms, r.id as f64);
+            self.emit(home, ShardPhase::Route, r.arrival_stamp(), r.id as f64);
             per_shard[home as usize].push(r.clone());
         }
 
@@ -396,7 +397,7 @@ impl ShardGroup {
         if self.sink.is_some() {
             let tenants: HashMap<u64, (u32, f64)> = requests
                 .iter()
-                .map(|r| (r.id, (r.tenant, r.arrival_ms)))
+                .map(|r| (r.id, (r.tenant, r.arrival_stamp())))
                 .collect();
             for c in &completions {
                 if let Some(&(tenant, _)) = tenants.get(&c.id) {
@@ -449,14 +450,16 @@ impl ShardGroup {
     /// (dangling mass, teleport, delta) runs on the *merged* vector in
     /// exactly `kernels::pagerank`'s order — which is why the ranks are
     /// bitwise identical to the single-shard run at any shard count.
+    /// Errors with [`simt::LaunchError::InvalidWork`] for a graph with no
+    /// vertices.
     pub fn pagerank(
         &mut self,
         g: &Graph,
         tol: f32,
         max_iters: usize,
     ) -> simt::Result<ShardPageRank> {
+        check_graph(g)?;
         let n = g.num_vertices();
-        assert!(n > 0, "graph must have vertices");
         let mt = normalized_transpose(g);
         let kind = pinned_schedule(&mt);
         let plan = ShardPlan::partition(&mt, self.shards.len(), self.cfg.strategy);
@@ -693,6 +696,41 @@ mod tests {
             assert_eq!(bad.len(), 1, "{mode}");
             assert_eq!(bad[0].reason, DropReason::Invalid, "{mode}");
         }
+    }
+
+    #[test]
+    fn a_non_finite_arrival_is_dropped_as_invalid_in_both_modes() {
+        let mut reqs = workload(30);
+        let bad_ids = [reqs[4].id, reqs[11].id, reqs[20].id];
+        reqs[4].arrival_ms = f64::NAN;
+        reqs[11].arrival_ms = f64::INFINITY;
+        reqs[20].arrival_ms = f64::NEG_INFINITY;
+        for (mode, out) in [
+            ("split", group(4).serve_split(&reqs).unwrap()),
+            ("routed", group(4).serve_routed(&reqs).unwrap()),
+        ] {
+            assert_eq!(out.report.invalid, 3, "{mode}");
+            assert!(out.report.reconciles(), "{mode}");
+            for id in bad_ids {
+                let d: Vec<_> = out.dropped.iter().filter(|d| d.id == id).collect();
+                assert_eq!(d.len(), 1, "{mode}");
+                assert_eq!(d[0].reason, DropReason::Invalid, "{mode}");
+                let ts = d[0].ts_ms;
+                assert!(ts.is_finite(), "{mode}: drop stamped at {ts}");
+            }
+            assert!(out.report.latency_p99_ms.is_finite(), "{mode}");
+        }
+    }
+
+    #[test]
+    fn sharded_pagerank_of_an_empty_graph_is_invalid_work() {
+        let empty = Graph::new(Csr::empty(0, 0));
+        let r = group(2).pagerank(&empty, 1e-6, 10);
+        assert!(
+            matches!(r, Err(simt::LaunchError::InvalidWork { .. })),
+            "got {:?}",
+            r.map(|run| run.iterations)
+        );
     }
 
     #[test]

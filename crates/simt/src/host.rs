@@ -8,11 +8,16 @@
 //!   ascending block-index order on the calling thread — the reference
 //!   semantics every other backend must reproduce bitwise.
 //! * [`HostBackend::Parallel`] runs a work-stealing executor
-//!   (`HostExecutor`): worker threads claim chunks of block
-//!   indices from a shared atomic counter, execute each block's
-//!   lane-level compute into per-worker buffers, and the coordinator
-//!   merges [`BlockCost`]s — and replays deferred floating-point
-//!   atomics — back in ascending block order.
+//!   (`HostExecutor`) on a persistent pool owned by the calling thread:
+//!   the caller and its `threads − 1` parked workers claim chunks of
+//!   block indices from a shared atomic counter and execute each block's
+//!   lane-level compute into a reusable per-block outcome slot; the
+//!   caller then merges [`BlockCost`]s — and replays deferred
+//!   floating-point atomics — back in ascending block order. The pool
+//!   is built on the thread's first parallel launch, rebuilt only when
+//!   the thread count changes, and shut down when the thread exits; no
+//!   launch spawns a thread. A launch issued from inside a block of a
+//!   parallel launch runs sequentially.
 //!
 //! # The bitwise contract
 //!
@@ -48,14 +53,15 @@
 //!    that is executing the block (`defer_add_f32`). A `GlobalMem`
 //!    created *during* the run — block-local scratch inside the kernel
 //!    body, or one built on any thread the kernel spawns — applies its
-//!    adds live on the worker, which is safe and still bitwise equal to
-//!    the sequential path (only that block can reach block-local
-//!    storage, so accumulation stays in program order).
+//!    adds live on the thread running the block, which is safe and
+//!    still bitwise equal to the sequential path (only that block can
+//!    reach block-local storage, so accumulation stays in program
+//!    order).
 //! 3. **TLS propagation.** A thread-scoped trace sink
 //!    ([`crate::tracing::scoped`]) or fault plan
 //!    ([`crate::fault::scoped`]) active at launch is re-installed inside
-//!    every worker, so code that consults the ambient context mid-block
-//!    sees the same answer on any backend.
+//!    every worker for that launch, so code that consults the ambient
+//!    context mid-block sees the same answer on any backend.
 //!
 //! What the contract *requires of kernels* (true of all nine in-repo
 //! kernels, asserted by the equivalence harness): a block must not read
@@ -83,8 +89,10 @@
 use crate::block::BlockCost;
 use crate::error::{LaunchError, Result};
 use std::cell::{Cell, RefCell};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::thread::JoinHandle;
 
 /// How a launch's simulated blocks execute on the host.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -92,14 +100,15 @@ pub enum HostBackend {
     /// Blocks run on the calling thread in ascending block-index order.
     #[default]
     Sequential,
-    /// Blocks run on `threads` worker threads claiming chunks from a
+    /// Blocks run on `threads` threads — the calling thread plus
+    /// `threads − 1` persistent workers it owns — claiming chunks from a
     /// shared counter; results merge back in block order, bitwise equal
     /// to [`Self::Sequential`]. `threads <= 1` degenerates to the
     /// sequential path.
     Parallel {
-        /// Worker threads to spawn (independent of the machine's core
-        /// count: the results are identical either way, only wall-clock
-        /// changes).
+        /// Threads that execute a launch's blocks, the caller included
+        /// (independent of the machine's core count: the results are
+        /// identical either way, only wall-clock changes).
         threads: usize,
     },
 }
@@ -127,7 +136,8 @@ impl HostBackend {
         }
     }
 
-    /// Worker threads this backend uses (1 for sequential).
+    /// Threads that execute a launch's blocks, the caller included (1 for
+    /// sequential).
     pub fn threads(self) -> usize {
         match self {
             Self::Sequential => 1,
@@ -179,7 +189,8 @@ pub fn current() -> HostBackend {
 /// environment — captures, or conduits (locks, channels) typed with the
 /// `GlobalMem`'s borrow lifetime — so the borrow checker forces its
 /// backing buffer to outlive the whole [`HostExecutor::run`] call, and
-/// the replay happens inside that call, after every worker has joined.
+/// the replay happens inside that call, after every participant has
+/// finished the run.
 /// Buffers created during the run (block-local scratch, or a `GlobalMem`
 /// built on a thread the kernel spawned) snapshot an epoch `>=` the
 /// run's generation, are never logged, and apply their adds live.
@@ -285,8 +296,8 @@ pub(crate) fn debug_assert_no_pending_add(cell: usize) {
     let _ = cell;
 }
 
-/// RAII scope for one block's deferral window; panic-safe (a worker
-/// panic clears the generation before the thread is reused or unwinds).
+/// RAII scope for one block's deferral window; panic-safe (a block's
+/// panic clears the generation before the thread runs its next block).
 struct DeferScope;
 
 impl DeferScope {
@@ -314,10 +325,10 @@ impl Drop for DeferScope {
 
 /// Replay one block's deferred adds in program order.
 ///
-/// Runs on the coordinating thread after every worker has been joined,
-/// so each load-add-store below is unobserved by any concurrent access
-/// — the replay is the same read-modify-write sequence the sequential
-/// backend performed live.
+/// Runs on the calling thread after every participant has finished the
+/// run, so each load-add-store below is unobserved by any concurrent
+/// access — the replay is the same read-modify-write sequence the
+/// sequential backend performed live.
 fn replay(adds: &[DeferredAdd]) {
     for a in adds {
         match *a {
@@ -327,8 +338,8 @@ fn replay(adds: &[DeferredAdd]) {
                 // this executor run began; such a view is reachable in
                 // a block only through the kernel closure's environment,
                 // so its borrow outlives the `run` call this replay is
-                // part of (see `DeferredAdd` docs). Workers are joined,
-                // so the coordinator is the only accessor.
+                // part of (see `DeferredAdd` docs). Every participant has
+                // finished, so the caller is the only accessor.
                 let c = unsafe { &*(cell as *const AtomicU32) };
                 let old = f32::from_bits(c.load(Ordering::Relaxed));
                 c.store((old + v).to_bits(), Ordering::Relaxed);
@@ -343,20 +354,203 @@ fn replay(adds: &[DeferredAdd]) {
     }
 }
 
-/// The work-stealing parallel block executor.
-///
-/// Mirrors the shape of a hybrid CPU/GPU load balancer: a shared atomic
-/// cursor hands out chunks of the block range, workers execute into
-/// per-worker buffers, and a deterministic merge reassembles the launch.
-pub(crate) struct HostExecutor {
-    threads: usize,
-}
-
+/// One block's outcome: its cost (or error) and its deferred-add log.
 type BlockOutcome = (
-    u32,
     std::result::Result<BlockCost, LaunchError>,
     Vec<DeferredAdd>,
 );
+
+/// Outcome slots a pool keeps between launches (about 100 bytes each); a
+/// larger grid grows them for its own launch and is trimmed back to this
+/// after the merge.
+const SLOT_CAP: usize = 1024;
+
+const SLOT_LOCK: &str = "a slot lock is never poisoned: no block runs under one";
+
+/// A launch's claiming loop, lifetime-erased for the parked workers
+/// (see the SAFETY argument in [`Pool::execute`]).
+type Job = &'static (dyn Fn() + Sync);
+
+/// The hand-off state shared by a pool's coordinator and its workers.
+#[derive(Default)]
+struct Round {
+    /// Bumped once per launch: a worker joins each round at most once.
+    seq: u64,
+    /// The open round's job; `None` once the coordinator has closed it,
+    /// so a worker that wakes late skips the round instead of joining.
+    job: Option<Job>,
+    /// Workers currently inside `job`.
+    active: usize,
+    /// Whether a worker's share of this round panicked.
+    panicked: bool,
+    shutdown: bool,
+}
+
+struct Shared {
+    round: Mutex<Round>,
+    /// Workers park here between rounds.
+    wake: Condvar,
+    /// The coordinator waits here for `active` to reach zero.
+    done: Condvar,
+}
+
+impl Shared {
+    /// Every update to `Round` is a plain field write that leaves it
+    /// valid, and no code that can panic runs under the lock, so a
+    /// poisoned lock still holds a consistent round.
+    fn lock(&self) -> MutexGuard<'_, Round> {
+        self.round.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// A thread's persistent executor: `threads − 1` parked workers plus one
+/// outcome slot per block, reused across launches so a launch allocates
+/// neither per-participant buffers nor per-block slots. The owning
+/// (calling) thread is the remaining participant. Dropping the pool — at
+/// the latest when the owning thread exits — shuts the workers down and
+/// joins them.
+struct Pool {
+    threads: usize,
+    shared: Arc<Shared>,
+    workers: Vec<JoinHandle<()>>,
+    slots: Vec<Mutex<Option<BlockOutcome>>>,
+}
+
+impl Pool {
+    fn new(threads: usize) -> Self {
+        let mut pool = Self {
+            threads,
+            shared: Arc::new(Shared {
+                round: Mutex::new(Round::default()),
+                wake: Condvar::new(),
+                done: Condvar::new(),
+            }),
+            workers: Vec::with_capacity(threads - 1),
+            slots: Vec::new(),
+        };
+        for i in 1..threads {
+            let shared = Arc::clone(&pool.shared);
+            // On a failed spawn the partial pool drops, joining the
+            // workers already started.
+            let worker = std::thread::Builder::new()
+                .name(format!("simt-host-{i}"))
+                .spawn(move || work(&shared))
+                .expect("spawn a host executor worker");
+            pool.workers.push(worker);
+        }
+        pool
+    }
+
+    /// Run one round: open it to the workers, run `own` on the calling
+    /// thread, close the round and wait for every worker that joined it.
+    /// Returns whether any participant panicked; a panic is caught, never
+    /// propagated, so the pool stays usable.
+    fn execute(&self, job: &(dyn Fn() + Sync), own: &dyn Fn()) -> bool {
+        // SAFETY: `job` only has to outlive its last use, and every use
+        // happens before this function returns. A worker copies the
+        // reference out of `Round::job` and increments `active` in one
+        // critical section, and decrements `active` only after its call
+        // has returned or unwound (the unwind is caught in `work`).
+        // Below, before returning, the coordinator clears `Round::job` —
+        // no worker can pick the reference up afterwards — and waits
+        // under the same lock until `active` is zero. Nothing between
+        // publishing and that wait can unwind: `own` runs under
+        // `catch_unwind`, and the lock ignores poisoning. This is the
+        // argument `DeferredAdd` makes for its cell addresses: the borrow
+        // provably outlives every access, which all happen inside this
+        // call.
+        let erased: Job = unsafe { std::mem::transmute::<&(dyn Fn() + Sync + '_), Job>(job) };
+        {
+            let mut round = self.shared.lock();
+            round.seq += 1;
+            round.job = Some(erased);
+            round.panicked = false;
+        }
+        self.shared.wake.notify_all();
+        let own_panicked = catch_unwind(AssertUnwindSafe(own)).is_err();
+        let mut round = self.shared.lock();
+        round.job = None;
+        while round.active > 0 {
+            round = self
+                .shared
+                .done
+                .wait(round)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        own_panicked || round.panicked
+    }
+}
+
+impl Drop for Pool {
+    fn drop(&mut self) {
+        self.shared.lock().shutdown = true;
+        self.shared.wake.notify_all();
+        for w in self.workers.drain(..) {
+            // `work` catches every job panic, so a join error cannot
+            // carry one; a Drop must not panic either way.
+            let _ = w.join();
+        }
+    }
+}
+
+/// A pooled worker: park until a round opens, join it, report, repeat.
+fn work(shared: &Shared) {
+    let mut seen = 0u64;
+    loop {
+        let job = {
+            let mut round = shared.lock();
+            loop {
+                if round.shutdown {
+                    return;
+                }
+                if round.seq != seen {
+                    seen = round.seq;
+                    if let Some(job) = round.job {
+                        round.active += 1;
+                        break job;
+                    }
+                }
+                round = shared
+                    .wake
+                    .wait(round)
+                    .unwrap_or_else(PoisonError::into_inner);
+            }
+        };
+        let panicked = catch_unwind(AssertUnwindSafe(job)).is_err();
+        let mut round = shared.lock();
+        round.panicked |= panicked;
+        round.active -= 1;
+        if round.active == 0 {
+            shared.done.notify_one();
+        }
+    }
+}
+
+thread_local! {
+    /// This thread's pool: built on its first parallel launch, rebuilt
+    /// when the thread count changes, dropped when the thread exits. A
+    /// launch holds the borrow for its whole run.
+    static POOL: RefCell<Option<Pool>> = const { RefCell::new(None) };
+}
+
+/// Whether this thread is executing a block of a parallel launch (on the
+/// caller or on a worker). A launch issued from there runs sequentially:
+/// the pool is busy with the enclosing launch, and the nested launch's
+/// float adds must stay in the enclosing block's deferred log.
+pub(crate) fn in_parallel_block() -> bool {
+    ACTIVE_GEN.with(Cell::get) != 0
+}
+
+/// The parallel block executor.
+///
+/// Mirrors the paper's work-queue schedule with persistent workers: the
+/// calling thread and its pool's parked workers claim chunks of the block
+/// range from one shared atomic cursor, execute each block into its
+/// reusable outcome slot, and a deterministic merge reassembles the
+/// launch in block order.
+pub(crate) struct HostExecutor {
+    threads: usize,
+}
 
 impl HostExecutor {
     pub(crate) fn new(threads: usize) -> Self {
@@ -365,100 +559,104 @@ impl HostExecutor {
         }
     }
 
-    /// Execute blocks `0..n` via `run_block`, returning costs in block
-    /// order. Bitwise equal to the sequential loop for kernels honoring
-    /// the module contract; on error, the error of the *lowest* block
-    /// index is returned (the one the sequential loop would have hit),
-    /// and buffer contents are unspecified — blocks after the failing
-    /// index may or may not have run, so callers must not read them
-    /// (true of the sequential path's partial state too).
+    /// Execute blocks `0..n` via `run_block` on the calling thread and
+    /// this thread's pool, returning costs in block order. Bitwise equal
+    /// to the sequential loop for kernels honoring the module contract;
+    /// on error, the error of the *lowest* block index is returned (the
+    /// one the sequential loop would have hit), and buffer contents are
+    /// unspecified — blocks after the failing index may or may not have
+    /// run, so callers must not read them (true of the sequential path's
+    /// partial state too). A panic in any block is re-raised here, after
+    /// every participant has finished, as "host executor worker
+    /// panicked".
+    ///
+    /// Must not be called from inside a block of a parallel launch
+    /// ([`in_parallel_block`]): `run_blocks` runs those sequentially.
     pub(crate) fn run<F>(&self, n: u32, run_block: F) -> Result<Vec<BlockCost>>
     where
         F: Fn(u32) -> std::result::Result<BlockCost, LaunchError> + Sync,
     {
+        let n = n as usize;
         // Mint this run's generation: a GlobalMem is eligible for
         // deferred float adds only if it snapshotted an earlier epoch,
         // i.e. provably existed before the run (see `DeferredAdd`).
         let gen = EPOCH.fetch_add(1, Ordering::Relaxed) + 1;
         // Capture the caller's ambient contexts for re-installation in
-        // the workers: a worker is a fresh thread with empty TLS stacks.
+        // the workers, whose TLS stacks are their own.
         let trace = crate::tracing::current();
         let fault = crate::fault::current();
         // Chunked claiming: big enough to amortize the shared counter,
         // small enough to keep the tail balanced. Chunk size affects
         // wall-clock only — results are merged by block index.
-        let chunk = (n as usize / (self.threads * 8)).clamp(1, 256);
+        let chunk = (n / (self.threads.min(n).max(1) * 8)).clamp(1, 256);
         let next = AtomicUsize::new(0);
-        let run_block = &run_block;
-        let outcomes: Vec<BlockOutcome> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..self.threads)
-                .map(|_| {
-                    let next = &next;
-                    let trace = trace.clone();
-                    s.spawn(move || {
-                        let body = || {
-                            let mut local: Vec<BlockOutcome> = Vec::new();
-                            loop {
-                                let base = next.fetch_add(chunk, Ordering::Relaxed);
-                                if base >= n as usize {
-                                    break;
-                                }
-                                let end = (base + chunk).min(n as usize);
-                                for b in base as u32..end as u32 {
-                                    let scope = DeferScope::begin(gen);
-                                    let res = run_block(b);
-                                    local.push((b, res, scope.take()));
-                                }
-                            }
-                            local
-                        };
-                        let with_fault = || match fault {
-                            Some(plan) => crate::fault::scoped(plan, body),
-                            None => body(),
-                        };
-                        match &trace {
-                            Some((sink, label)) => {
-                                crate::tracing::scoped(sink.clone(), label, with_fault)
-                            }
-                            None => with_fault(),
-                        }
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("host executor worker panicked"))
-                .collect()
-        });
-
-        // Deterministic merge: reassemble by block index, then replay
-        // each block's deferred float adds in that order — the exact
-        // accumulation sequence of the sequential backend.
-        let mut slots: Vec<Option<BlockOutcome>> = (0..n).map(|_| None).collect();
-        for o in outcomes {
-            let idx = o.0 as usize;
-            debug_assert!(slots[idx].is_none(), "block {idx} executed twice");
-            slots[idx] = Some(o);
-        }
-        let mut out = Vec::with_capacity(n as usize);
-        for slot in slots {
-            let (b, res, adds) = slot.expect("every block index executed exactly once");
-            match res {
-                Ok(cost) => {
-                    replay(&adds);
-                    out.push(cost);
+        POOL.with(|cell| {
+            let mut pool = cell.borrow_mut();
+            if pool.as_ref().is_none_or(|p| p.threads != self.threads) {
+                // Join the old workers before spawning the new ones.
+                *pool = None;
+                *pool = Some(Pool::new(self.threads));
+            }
+            let pool = pool.as_mut().expect("pool installed above");
+            if pool.slots.len() < n {
+                pool.slots.resize_with(n, Mutex::default);
+            }
+            let slots = &pool.slots[..n];
+            let claim = || loop {
+                let base = next.fetch_add(chunk, Ordering::Relaxed);
+                if base >= n {
+                    break;
                 }
-                // Lowest-index error: the deterministic choice, and the
-                // one the sequential loop reports. Later blocks' deferred
-                // adds are dropped, like the sequential loop never
-                // running them; callers discard buffers on error.
-                Err(e) => {
-                    let _ = b;
-                    return Err(e);
+                let end = (base + chunk).min(n);
+                for (b, slot) in (base..).zip(&slots[base..end]) {
+                    let scope = DeferScope::begin(gen);
+                    let res = run_block(b as u32);
+                    let outcome = (res, scope.take());
+                    let prev = slot.lock().expect(SLOT_LOCK).replace(outcome);
+                    debug_assert!(prev.is_none(), "block {b} executed twice");
+                }
+            };
+            let job = || {
+                let with_fault = || match fault {
+                    Some(plan) => crate::fault::scoped(plan, claim),
+                    None => claim(),
+                };
+                match &trace {
+                    Some((sink, label)) => crate::tracing::scoped(sink.clone(), label, with_fault),
+                    None => with_fault(),
+                }
+            };
+            let panicked = pool.execute(&job, &claim);
+
+            // Deterministic merge: walk the slots in block order,
+            // replaying each block's deferred float adds — the exact
+            // accumulation sequence of the sequential backend — and
+            // emptying every slot for the next launch.
+            let mut out = Ok(Vec::with_capacity(n));
+            for slot in slots {
+                let outcome = slot.lock().expect(SLOT_LOCK).take();
+                if let (false, Ok(costs)) = (panicked, &mut out) {
+                    match outcome.expect("every block index executed exactly once") {
+                        (Ok(cost), adds) => {
+                            replay(&adds);
+                            costs.push(cost);
+                        }
+                        // Lowest-index error: the deterministic choice,
+                        // and the one the sequential loop reports. Later
+                        // blocks' deferred adds are dropped, like the
+                        // sequential loop never running them; callers
+                        // discard buffers on error.
+                        (Err(e), _) => out = Err(e),
+                    }
                 }
             }
-        }
-        Ok(out)
+            pool.slots.truncate(SLOT_CAP);
+            pool.slots.shrink_to(SLOT_CAP);
+            if panicked {
+                panic!("host executor worker panicked");
+            }
+            out
+        })
     }
 }
 
@@ -610,6 +808,97 @@ mod tests {
             let _ = g.load(0);
             Ok(cost(1.0))
         });
+    }
+
+    /// Four blocks that each wait for all four participants: the launch
+    /// completes only once the caller and all three workers hold a block
+    /// at the same time.
+    fn rendezvous_of_four(ex: &HostExecutor, f: impl Fn(u32) + Sync) {
+        let all = std::sync::Barrier::new(4);
+        ex.run(4, |b| {
+            all.wait();
+            f(b);
+            Ok(cost(f64::from(b)))
+        })
+        .unwrap();
+    }
+
+    #[test]
+    fn pool_reuses_the_same_three_workers_across_launches() {
+        let caller = std::thread::current().id();
+        let ids = Mutex::new(std::collections::HashSet::new());
+        let record = |_| {
+            let me = std::thread::current().id();
+            if me != caller {
+                ids.lock().unwrap().insert(me);
+            }
+        };
+        scoped(HostBackend::Parallel { threads: 4 }, || {
+            for _ in 0..100 {
+                rendezvous_of_four(&HostExecutor::new(current().threads()), record);
+            }
+        });
+        // Every launch ran on all four threads (the rendezvous), and no
+        // launch spawned a thread of its own.
+        assert_eq!(ids.lock().unwrap().len(), 3);
+    }
+
+    #[test]
+    fn pool_recovers_after_a_block_panics_on_the_caller() {
+        let caller = std::thread::current().id();
+        let ex = HostExecutor::new(4);
+        let r = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            rendezvous_of_four(&ex, |_| {
+                if std::thread::current().id() == caller {
+                    panic!("block failed on the caller");
+                }
+            });
+        }));
+        let msg = r.expect_err("the caller's panic is re-raised");
+        assert_eq!(
+            msg.downcast_ref::<&str>(),
+            Some(&"host executor worker panicked")
+        );
+        assert!(!in_parallel_block(), "the deferral window closed on unwind");
+        // The same pool serves the next launch, merged in block order.
+        let out = ex.run(100, |b| Ok(cost(f64::from(b)))).unwrap();
+        let order: Vec<f64> = out.iter().map(|c| c.warp_costs[0]).collect();
+        assert_eq!(order, (0..100).map(f64::from).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn launch_from_inside_a_parallel_block_matches_sequential_bitwise() {
+        use crate::launch::{launch_threads, LaunchConfig};
+        let spec = crate::spec::GpuSpec::test_tiny();
+        let run = |backend| {
+            let mut acc = vec![0.0f32; 4];
+            let mut inner_ms = vec![0u64; 16];
+            let outer = {
+                let g = crate::memory::GlobalMem::new(&mut acc);
+                let inner = crate::memory::GlobalMem::new(&mut inner_ms);
+                scoped(backend, || {
+                    launch_threads(&spec, LaunchConfig::new(16, 32), |t| {
+                        let id = t.global_thread_id();
+                        if id % 32 != 0 {
+                            return;
+                        }
+                        // A launch issued from inside a block.
+                        let r = launch_threads(&spec, LaunchConfig::new(8, 32), |u| {
+                            let i = u.global_thread_id() as usize;
+                            g.fetch_add(i % 4, (id as f32 + 1.0) / (i as f32 + 3.0));
+                            u.charge(1.0);
+                        })
+                        .unwrap();
+                        inner.store(id as usize / 32, r.elapsed_ms().to_bits());
+                    })
+                    .unwrap()
+                })
+            };
+            let acc: Vec<u32> = acc.iter().map(|v| v.to_bits()).collect();
+            (acc, inner_ms, outer.elapsed_ms().to_bits())
+        };
+        let seq = run(HostBackend::Sequential);
+        assert_eq!(run(HostBackend::Parallel { threads: 4 }), seq);
     }
 
     #[test]

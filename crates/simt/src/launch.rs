@@ -207,8 +207,10 @@ where
 ///
 /// Sequential (the default) runs blocks in ascending index order on the
 /// calling thread; `Parallel { threads }` hands the grid to the
-/// [`HostExecutor`](crate::host), whose deterministic merge makes the
-/// two paths bitwise identical.
+/// [`HostExecutor`](crate::host) — the calling thread plus its pool's
+/// `threads − 1` parked workers — whose deterministic merge makes the
+/// two paths bitwise identical. A one-block grid, and a launch issued
+/// from inside a block of a parallel launch, take the sequential loop.
 ///
 /// On `Err`, the set of blocks that ran — and therefore every buffer
 /// the kernel writes — is backend-dependent and unspecified; callers
@@ -221,8 +223,8 @@ pub(crate) fn run_blocks<K: BlockKernel>(
     stats: bool,
 ) -> Result<Vec<BlockCost>> {
     let n = cfg.grid_dim;
-    let threads = crate::host::current().threads().min(n as usize).max(1);
-    if threads == 1 {
+    let threads = crate::host::current().threads();
+    if threads.min(n as usize) <= 1 || crate::host::in_parallel_block() {
         let mut out = Vec::with_capacity(n as usize);
         for b in 0..n {
             let mut ctx =

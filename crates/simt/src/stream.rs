@@ -171,11 +171,6 @@ impl DeviceSim {
         self.device_id = device_id;
     }
 
-    /// Detach any trace sink.
-    pub fn clear_trace(&mut self) {
-        self.sink = None;
-    }
-
     /// Pin the host execution backend for this device's launches.
     ///
     /// Simulated timing, reports, and results are bitwise identical for
@@ -224,11 +219,6 @@ impl DeviceSim {
     /// discarded — read [`Self::fault_counters`] first if needed).
     pub fn clear_fault_plan(&mut self) {
         self.faults = None;
-    }
-
-    /// The attached fault plan, if any.
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.faults.as_ref().map(|f| &f.plan)
     }
 
     /// Counters of faults that have actually fired (all zero without a

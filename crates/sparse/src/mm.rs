@@ -29,6 +29,12 @@ enum Symmetry {
     SkewSymmetric,
 }
 
+/// Rows a file may declare beyond [`ROWS_PER_ENTRY`] per entry: empty
+/// rows up to 8 MiB of CSR row offsets are always accepted.
+const MAX_SPARE_ROWS: usize = 1 << 20;
+/// Declared rows allowed per declared entry, on top of [`MAX_SPARE_ROWS`].
+const ROWS_PER_ENTRY: usize = 64;
+
 fn parse_err(line: usize, msg: impl Into<String>) -> Error {
     Error::Parse {
         line,
@@ -96,6 +102,19 @@ pub fn read_coo<R: Read>(reader: R) -> Result<Coo<f32>> {
         return Err(parse_err(
             lineno,
             format!("dimensions {rows} x {cols} exceed the u32 index range"),
+        ));
+    }
+
+    // CSR row offsets cost a word per declared row, entries or not, so a
+    // tiny file must not declare billions of rows: the reader's output
+    // would be out of all proportion to its input.
+    if rows > MAX_SPARE_ROWS.saturating_add(nnz.saturating_mul(ROWS_PER_ENTRY)) {
+        return Err(parse_err(
+            lineno,
+            format!(
+                "{rows} rows for {nnz} entries: at most {MAX_SPARE_ROWS} + \
+                 {ROWS_PER_ENTRY} per entry"
+            ),
         ));
     }
 

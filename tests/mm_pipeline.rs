@@ -98,6 +98,33 @@ fn huge_declared_row_count_is_an_error_not_an_abort() {
 }
 
 #[test]
+fn rows_out_of_proportion_to_the_entries_are_an_error_not_an_abort() {
+    // 4·10^9 rows pass the u32 check, but their CSR row offsets alone
+    // are a 32 GB allocation for a one-entry file: that used to abort.
+    match sparse::mm::read_csr(
+        "%%MatrixMarket matrix coordinate real general\n\
+         4000000000 4000000000 1\n\
+         1 1 1.0\n"
+            .as_bytes(),
+    ) {
+        Err(sparse::Error::Parse { line, msg }) => {
+            assert_eq!(line, 2, "error should point at the size line: {msg}");
+            assert!(msg.contains("4000000000 rows for 1 entries"), "{msg}");
+        }
+        other => panic!("expected a size-line parse error, got {other:?}"),
+    }
+    // Empty rows in proportion still parse.
+    let a = sparse::mm::read_csr(
+        "%%MatrixMarket matrix coordinate real general\n\
+         1048640 3 1\n\
+         1048640 2 1.0\n"
+            .as_bytes(),
+    )
+    .unwrap();
+    assert_eq!((a.rows(), a.nnz()), (1_048_640, 1));
+}
+
+#[test]
 fn dimensions_at_the_u32_limit_still_parse() {
     // The largest dimension whose 1-based indices fit: u32::MAX. No entries,
     // so the (single-row) CSR stays small.
